@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Const, Expr
+from .expr import Const, Expr, eval_grid_many
 from .forms import (
     Chart,
     OneForm,
@@ -418,18 +418,14 @@ def _rk4_step(mat_a, mat_b, mat_c, b, h):
 def _coefficient_samples(coeffs, xmesh, ymesh):
     """Evaluate an Expr matrix on meshes, stacked as (*mesh.shape, m, m)."""
     m = len(coeffs)
-    memo: dict = {}
     with np.errstate(all="ignore"):
-        rows = [
-            [
-                np.broadcast_to(
-                    np.asarray(coeffs[i][j].eval_grid(xmesh, ymesh, memo), dtype=float),
-                    xmesh.shape,
-                )
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
+        raws = eval_grid_many([coeffs[i][j] for i in range(m) for j in range(m)],
+                              xmesh, ymesh)
+    rows = [
+        [np.broadcast_to(np.asarray(raws[i * m + j], dtype=float), xmesh.shape)
+         for j in range(m)]
+        for i in range(m)
+    ]
     out = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("connection coefficients are not finite on the sweep path")

@@ -17,13 +17,27 @@ constant folding, absorption of additive zeros and multiplicative
 zeros/ones, and removal of double negation; the folded tree evaluates to the
 same value as the unfolded one wherever both are defined.  Derivatives are
 cached per node, so repeated differentiation builds a shared DAG rather
-than an exponentially growing tree.
+than an exponentially growing tree.  :func:`parse` shares structurally
+equal subtrees of one text, so a repeated subexpression is one node.
+
+Grid evaluation lowers all the roots of one call to a single tape
+(:func:`eval_grid_many`): a :class:`ValueNumbering` gives structurally
+equal nodes one number (constants keyed by their bits, so ``-0.0`` and
+``0.0`` stay apart), the tape runs each number once with the numpy
+operation of its node type, and every intermediate is dropped after its
+last use.  Nothing on the grid path or in :func:`to_source` recurses, so
+expression depth is bounded by memory only.  A numbering and the root
+values computed under it can be carried from one call to the next; the
+per-check root cache in :mod:`metriconn.forms` does that.  Scalar
+:meth:`Expr.eval` is the located, domain-checked path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+import struct
 
 import numpy as np
 
@@ -31,6 +45,7 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ParseError", "DomainError",
     "parse", "evaluate", "differentiate", "to_source",
+    "ValueNumbering", "eval_grid_many",
     "const", "var", "sin", "cos", "tan", "exp", "ln", "sqrt", "sinh", "cosh",
     "X", "Y", "ZERO", "ONE",
 ]
@@ -84,21 +99,23 @@ class Expr:
     def eval_grid(self, xs, ys, memo=None):
         """Vectorised evaluation on numpy arrays, without domain checks.
 
+        Runs this expression as a one-root tape (see :func:`eval_grid_many`).
         Out-of-domain points surface as non-finite entries; callers needing a
         located error fall back to :meth:`eval` at the offending point.  A
-        shared ``memo`` dict makes common subtrees evaluate once.
+        ``memo`` dict maps ``id(node)`` to a value already computed on the
+        same ``xs``, ``ys``: such nodes are taken as leaves, and the result
+        is stored under ``id(self)``.
         """
         if memo is None:
-            memo = {}
-        key = id(self)
-        hit = memo.get(key)
+            return eval_grid_many([self], xs, ys)[0]
+        hit = memo.get(id(self))
         if hit is None:
-            hit = self._grid(xs, ys, memo)
-            memo[key] = hit
+            numbering = ValueNumbering()
+            known: dict = {}
+            [vn] = numbering.number([self], opaque=memo, known=known)
+            [hit] = numbering.run([vn], xs, ys, known)
+            memo[id(self)] = hit
         return hit
-
-    def _grid(self, xs, ys, memo):
-        raise NotImplementedError
 
     # differentiation ------------------------------------------------------
 
@@ -168,9 +185,6 @@ class Const(Expr):
     def eval(self, x, y):
         return self.value
 
-    def _grid(self, xs, ys, memo):
-        return self.value
-
     def _diff(self, variable):
         return ZERO
 
@@ -186,9 +200,6 @@ class Var(Expr):
     def eval(self, x, y):
         return x if self.name == "x" else y
 
-    def _grid(self, xs, ys, memo):
-        return xs if self.name == "x" else ys
-
     def _diff(self, variable):
         return ONE if variable == self.name else ZERO
 
@@ -201,9 +212,6 @@ class Neg(Expr):
 
     def eval(self, x, y):
         return -self.arg.eval(x, y)
-
-    def _grid(self, xs, ys, memo):
-        return -self.arg.eval_grid(xs, ys, memo)
 
     def _diff(self, variable):
         return _neg(self.arg.diff(variable))
@@ -219,9 +227,6 @@ class Add(Expr):
     def eval(self, x, y):
         return self.left.eval(x, y) + self.right.eval(x, y)
 
-    def _grid(self, xs, ys, memo):
-        return self.left.eval_grid(xs, ys, memo) + self.right.eval_grid(xs, ys, memo)
-
     def _diff(self, variable):
         return _add(self.left.diff(variable), self.right.diff(variable))
 
@@ -236,9 +241,6 @@ class Sub(Expr):
     def eval(self, x, y):
         return self.left.eval(x, y) - self.right.eval(x, y)
 
-    def _grid(self, xs, ys, memo):
-        return self.left.eval_grid(xs, ys, memo) - self.right.eval_grid(xs, ys, memo)
-
     def _diff(self, variable):
         return _sub(self.left.diff(variable), self.right.diff(variable))
 
@@ -252,9 +254,6 @@ class Mul(Expr):
 
     def eval(self, x, y):
         return self.left.eval(x, y) * self.right.eval(x, y)
-
-    def _grid(self, xs, ys, memo):
-        return self.left.eval_grid(xs, ys, memo) * self.right.eval_grid(xs, ys, memo)
 
     def _diff(self, variable):
         return _add(
@@ -275,9 +274,6 @@ class Div(Expr):
         if den == 0.0:
             raise DomainError(x, y, self, "division by zero")
         return self.left.eval(x, y) / den
-
-    def _grid(self, xs, ys, memo):
-        return self.left.eval_grid(xs, ys, memo) / self.right.eval_grid(xs, ys, memo)
 
     def _diff(self, variable):
         # (l/r)' = l'/r - l*r'/r^2, assembled to share the quotient node
@@ -325,13 +321,6 @@ class Pow(Expr):
         except OverflowError:
             raise DomainError(x, y, self, "overflow") from None
 
-    def _grid(self, xs, ys, memo):
-        b = self.base.eval_grid(xs, ys, memo)
-        n = self._int_exponent
-        if n is not None:
-            return np.power(b, n, dtype=float) if isinstance(b, np.ndarray) else float(b) ** n
-        return np.power(b, self.exponent)
-
     def _diff(self, variable):
         return _mul(
             _mul(Const(self.exponent), _pow(self.base, self.exponent - 1.0)),
@@ -360,9 +349,6 @@ class Call(Expr):
         except OverflowError:
             raise DomainError(x, y, self, "overflow") from None
 
-    def _grid(self, xs, ys, memo):
-        return _GRID_FUNCS[self.name](self.arg.eval_grid(xs, ys, memo))
-
     def _diff(self, variable):
         u = self.arg
         du = u.diff(variable)
@@ -383,6 +369,37 @@ class Call(Expr):
             return _mul(Call("cosh", u), du)
         # cosh
         return _mul(Call("sinh", u), du)
+
+
+def _operands(e: Expr) -> tuple:
+    cls = type(e)
+    if cls is Neg or cls is Call:
+        return (e.arg,)
+    if cls is Pow:
+        return (e.base,)
+    if cls is Const or cls is Var:
+        return ()
+    return (e.left, e.right)
+
+
+def _bits(value: float) -> bytes:
+    # constants and exponents are keyed by their bits: -0.0 and 0.0 stay apart
+    return struct.pack("<d", value)
+
+
+def _shape(e: Expr, operands: tuple) -> tuple:
+    """Structural key of a node: its type, its payload and the given keys of
+    its operands."""
+    cls = type(e)
+    if cls is Const:
+        return (Const, _bits(e.value))
+    if cls is Var:
+        return (Var, e.name)
+    if cls is Call:
+        return (Call, e.name, operands)
+    if cls is Pow:
+        return (Pow, _bits(e.exponent), operands)
+    return (cls, operands)
 
 
 _SCALAR_FUNCS = {
@@ -534,6 +551,181 @@ def cosh(e) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# grid evaluation: one value-numbered tape per call
+
+
+def _int_power(n: int):
+    def power(b):
+        return np.power(b, n, dtype=float) if isinstance(b, np.ndarray) else float(b) ** n
+    return power
+
+
+def _real_power(exponent: float):
+    def power(b):
+        return np.power(b, exponent)
+    return power
+
+
+_BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+class ValueNumbering:
+    """Value numbers of expression nodes, and the tapes they run as.
+
+    Structurally equal nodes get one number, whether they are one object or
+    several: a number stands for the node's type, its payload (a constant's
+    bits, a variable's name, a function's name, an exponent's bits) and its
+    operands' numbers.  Operands are numbered before their results, so the
+    sorted numbers of a set of nodes are a topological order of them.
+
+    The numbering holds every node it has numbered, so an ``id()`` it has
+    seen cannot be reused by another object while it lives.
+    """
+
+    __slots__ = ("_by_id", "_by_key", "_nodes", "_ops", "_args", "_leaves")
+
+    def __init__(self):
+        self._by_id: dict = {}      # id(node) -> number
+        self._by_key: dict = {}     # structural key -> number
+        self._nodes: list = []
+        self._ops: list = []        # number -> numpy operation, None for a leaf
+        self._args: list = []       # number -> operand numbers
+        self._leaves: list = []     # number -> constant value or variable name
+
+    def _new(self, op, args: tuple, leaf) -> int:
+        vn = len(self._ops)
+        self._ops.append(op)
+        self._args.append(args)
+        self._leaves.append(leaf)
+        return vn
+
+    def _new_node(self, node: Expr, args: tuple) -> int:
+        cls = type(node)
+        if cls is Const:
+            return self._new(None, (), node.value)
+        if cls is Var:
+            return self._new(None, (), node.name)
+        if cls is Neg:
+            return self._new(operator.neg, args, None)
+        if cls is Call:
+            return self._new(_GRID_FUNCS[node.name], args, None)
+        if cls is Pow:
+            n = node._int_exponent
+            op = _int_power(n) if n is not None else _real_power(node.exponent)
+            return self._new(op, args, None)
+        return self._new(_BINARY_OPS[cls], args, None)
+
+    def number(self, roots, opaque=None, known=None) -> list[int]:
+        """Numbers of ``roots``, numbering every node below them without
+        recursion.  A node whose ``id()`` is a key of ``opaque`` becomes a
+        leaf of its own whose value is stored in ``known``."""
+        by_id, by_key, nodes = self._by_id, self._by_key, self._nodes
+        out = []
+        for root in roots:
+            stack = [root]
+            while stack:
+                node = stack[-1]
+                nid = id(node)
+                if nid in by_id:
+                    stack.pop()
+                    continue
+                if opaque is not None and nid in opaque:
+                    vn = self._new(None, (), None)
+                    known[vn] = opaque[nid]
+                else:
+                    args = []
+                    pending = False
+                    for kid in _operands(node):
+                        vk = by_id.get(id(kid))
+                        if vk is None:
+                            stack.append(kid)
+                            pending = True
+                        else:
+                            args.append(vk)
+                    if pending:
+                        continue
+                    args = tuple(args)
+                    key = _shape(node, args)
+                    vn = by_key.get(key)
+                    if vn is None:
+                        vn = by_key[key] = self._new_node(node, args)
+                stack.pop()
+                by_id[nid] = vn
+                nodes.append(node)
+            out.append(by_id[id(root)])
+        return out
+
+    def run(self, roots, xs, ys, known) -> list:
+        """Values of the numbers ``roots`` on ``xs``, ``ys``.
+
+        ``known`` maps numbers to values already computed on the same
+        inputs; they are leaves of the tape.  Every other node the roots
+        need is computed once, with the numpy operation of its type, in
+        number order, and dropped after its last use.
+        """
+        ops, args, leaves = self._ops, self._args, self._leaves
+        values: dict = {}
+        needed = set()
+        stack = list(roots)
+        while stack:
+            vn = stack.pop()
+            if vn in needed or vn in values:
+                continue
+            if vn in known:
+                values[vn] = known[vn]
+                continue
+            needed.add(vn)
+            stack.extend(args[vn])
+        tape = sorted(needed)
+        last_use = {}
+        for step, vn in enumerate(tape):
+            for a in args[vn]:
+                last_use[a] = step
+        for vn in roots:
+            last_use.pop(vn, None)
+        dead: dict = {}
+        for vn, step in last_use.items():
+            dead.setdefault(step, []).append(vn)
+        for step, vn in enumerate(tape):
+            op = ops[vn]
+            a = args[vn]
+            if op is None:
+                leaf = leaves[vn]
+                if leaf.__class__ is str:
+                    values[vn] = xs if leaf == "x" else ys
+                else:
+                    values[vn] = leaf
+            elif len(a) == 1:
+                values[vn] = op(values[a[0]])
+            else:
+                values[vn] = op(values[a[0]], values[a[1]])
+            for d in dead.get(step, ()):
+                del values[d]
+        return [values[vn] for vn in roots]
+
+
+def eval_grid_many(exprs, xs, ys, numbering: ValueNumbering | None = None,
+                   known: dict | None = None) -> list:
+    """Evaluate several expressions on the same ``xs``, ``ys`` as one tape.
+
+    All roots are lowered together, so a node they share, or a structurally
+    equal node built twice, is computed once.  Each value is what the node's
+    numpy operation gives (a float for a constant subtree), without domain
+    checks.  A caller that evaluates more roots on the same inputs later
+    passes the same ``numbering`` and ``known`` dict: the roots' values are
+    added to ``known``, and later tapes take them as leaves.
+    """
+    if numbering is None:
+        numbering = ValueNumbering()
+    if known is None:
+        known = {}
+    vns = numbering.number(exprs)
+    values = numbering.run(vns, xs, ys, known)
+    known.update(zip(vns, values))
+    return values
+
+
+# ---------------------------------------------------------------------------
 # spec-level operation wrappers
 
 
@@ -550,51 +742,78 @@ def differentiate(e: Expr, variable: str) -> Expr:
 
 # precedence levels: 0 = additive, 1 = multiplicative, 2 = power, 3 = base
 _LEVEL = {Add: 0, Sub: 0, Mul: 1, Div: 1, Pow: 2, Const: 3, Var: 3, Call: 3, Neg: 3}
+_INFIX = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
 
 
-def _level(e: Expr) -> int:
-    return _LEVEL[type(e)]
+def _render(e: Expr, text: dict) -> str:
+    """Text of one node, given the text of its operands by ``id()``."""
+    cls = type(e)
 
+    def src(operand, min_level):
+        t = text[id(operand)]
+        return f"({t})" if _LEVEL[type(operand)] < min_level else t
 
-def _src(e: Expr, min_level: int) -> str:
-    text = _render(e)
-    if _level(e) < min_level:
-        return f"({text})"
-    return text
-
-
-def _render(e: Expr) -> str:
-    if isinstance(e, Const):
+    if cls is Const:
         return repr(e.value)
-    if isinstance(e, Var):
+    if cls is Var:
         return e.name
-    if isinstance(e, Call):
-        return f"{e.name}({_render(e.arg)})"
-    if isinstance(e, Neg):
-        return "-" + _src(e.arg, 3)
-    if isinstance(e, Pow):
+    if cls is Call:
+        return f"{e.name}({text[id(e.arg)]})"
+    if cls is Neg:
+        return "-" + src(e.arg, 3)
+    if cls is Pow:
         exp_text = repr(e.exponent)
         if e.exponent < 0:
             exp_text = f"({exp_text})"
-        return f"{_src(e.base, 3)}^{exp_text}"
-    if isinstance(e, Add):
-        return f"{_src(e.left, 0)} + {_src(e.right, 1)}"
-    if isinstance(e, Sub):
-        return f"{_src(e.left, 0)} - {_src(e.right, 1)}"
-    if isinstance(e, Mul):
-        return f"{_src(e.left, 1)}*{_src(e.right, 2)}"
-    if isinstance(e, Div):
-        return f"{_src(e.left, 1)}/{_src(e.right, 2)}"
-    raise TypeError(f"cannot render {type(e).__name__}")
+        return f"{src(e.base, 3)}^{exp_text}"
+    if cls in _INFIX:
+        level = _LEVEL[cls]
+        return f"{src(e.left, level)}{_INFIX[cls]}{src(e.right, level + 1)}"
+    raise TypeError(f"cannot render {cls.__name__}")
+
+
+def _postorder(root: Expr) -> list:
+    """The distinct nodes (by identity) below ``root``, operands first,
+    found without recursion."""
+    order = []
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in seen:
+            stack.pop()
+            continue
+        pending = [k for k in _operands(node) if id(k) not in seen]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        seen.add(id(node))
+        order.append(node)
+    return order
 
 
 def to_source(e: Expr) -> str:
     """Render an expression in the input grammar.
 
     Parenthesisation preserves the tree shape, so re-parsing evaluates to
-    bit-identical values.
+    bit-identical values.  Each distinct node is rendered once, operands
+    first and without recursion; an operand's text is dropped once every
+    node that uses it has been rendered.
     """
-    return _render(e)
+    order = _postorder(e)
+    uses: dict = {}
+    for node in order:
+        for k in _operands(node):
+            uses[id(k)] = uses.get(id(k), 0) + 1
+    text: dict = {}
+    for node in order:
+        text[id(node)] = _render(node, text)
+        for k in _operands(node):
+            uses[id(k)] -= 1
+            if not uses[id(k)]:
+                del text[id(k)]
+    return text[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +846,12 @@ class _Parser:
             pos = m.end()
         self.tokens.append(("end", "", n))
         self.index = 0
+        # structurally equal subtrees of this one text become one node
+        self.shared: dict = {}
+
+    def share(self, node: Expr) -> Expr:
+        key = _shape(node, tuple(id(k) for k in _operands(node)))
+        return self.shared.setdefault(key, node)
 
     def peek(self):
         return self.tokens[self.index]
@@ -652,7 +877,7 @@ class _Parser:
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                node = _add(node, rhs) if text == "+" else _sub(node, rhs)
+                node = self.share(_add(node, rhs) if text == "+" else _sub(node, rhs))
             else:
                 return node
 
@@ -663,7 +888,7 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.parse_factor()
-                node = _mul(node, rhs) if text == "*" else _div(node, rhs)
+                node = self.share(_mul(node, rhs) if text == "*" else _div(node, rhs))
             else:
                 return node
 
@@ -676,27 +901,27 @@ class _Parser:
             exponent = self.parse_base()
             if not isinstance(exponent, Const):
                 raise ParseError(exp_offset, "exponent must be a constant")
-            return _pow(base, exponent.value)
+            return self.share(_pow(base, exponent.value))
         return base
 
     def parse_base(self) -> Expr:
         kind, text, offset = self.advance()
         if kind == "num":
-            return Const(float(text))
+            return self.share(Const(float(text)))
         if kind == "ident":
             if text in ("x", "y"):
                 return X if text == "x" else Y
             if text in _CONSTANTS:
-                return Const(_CONSTANTS[text])
+                return self.share(Const(_CONSTANTS[text]))
             if text in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.parse_expr()
                 self.expect_op(")")
-                return _call(text, arg)
+                return self.share(_call(text, arg))
             raise ParseError(offset, "unknown identifier", text)
         if kind == "op":
             if text == "-":
-                return _neg(self.parse_base())
+                return self.share(_neg(self.parse_base()))
             if text == "(":
                 inner = self.parse_expr()
                 self.expect_op(")")

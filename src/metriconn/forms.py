@@ -7,21 +7,29 @@ coefficients: a 1-form is ``p dx + q dy``, a 2-form is ``r dx^dy``.
 Pointwise verdicts elsewhere in the package ("skew everywhere", "trace zero
 everywhere") are certified on grid samples only; the grid density is under
 caller control through ``Chart.grid``.
+
+Grid evaluation runs all the expressions of one call as one tape
+(:func:`metriconn.expr.eval_grid_many`).  Inside :func:`root_cache`, which
+:func:`metriconn.metrizability.check_metrizability` opens for the length of
+one check, the roots evaluated on a (chart, lattice) pair are kept and
+reused by the later evaluations on that pair.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Const, DomainError, Expr
+from .expr import Const, DomainError, Expr, ValueNumbering, eval_grid_many
 
 __all__ = [
     "Chart", "ScalarField", "OneForm", "TwoForm",
     "d0", "d1", "wedge11", "integrate2", "line_integral",
-    "evaluate_grid", "evaluate_grid_many", "sup_norm", "grid_derivative",
+    "evaluate_grid", "evaluate_grid_many", "root_cache", "sup_norm", "grid_derivative",
     "potential_on_grid", "generator_loop_integrals",
     "ZERO_ONE_FORM", "ZERO_TWO_FORM",
 ]
@@ -172,11 +180,39 @@ def wedge11(a: OneForm, b: OneForm) -> TwoForm:
 # grid evaluation
 
 
-def _evaluate_on(expr: Expr, xmesh: np.ndarray, ymesh: np.ndarray, memo=None) -> np.ndarray:
-    """Evaluate on explicit meshes; locate and raise a DomainError if any
-    sample is outside the expression's domain."""
-    with np.errstate(all="ignore"):
-        raw = expr.eval_grid(xmesh, ymesh, memo)
+class _RootCache:
+    """The grid values of every root evaluated on a chart lattice while the
+    cache is open, under one value numbering shared by all lattices."""
+
+    def __init__(self):
+        self.numbering = ValueNumbering()
+        self.lattices: dict = {}    # (chart, lattice) -> (xmesh, ymesh, known)
+
+
+_ROOT_CACHE: ContextVar[_RootCache | None] = ContextVar("metriconn_root_cache", default=None)
+
+
+@contextmanager
+def root_cache():
+    """Open a root cache for the length of the block.
+
+    Inside it, :func:`evaluate_grid` and :func:`evaluate_grid_many` on a
+    (chart, lattice) pair take the values of the roots already evaluated on
+    that pair as finished leaves, so a later stage does not recompute the
+    arrays of the stages before it.  Only roots are kept, never the
+    intermediates of a tape.  The cache lives in a context variable and is
+    gone when the block ends.
+    """
+    token = _ROOT_CACHE.set(_RootCache())
+    try:
+        yield
+    finally:
+        _ROOT_CACHE.reset(token)
+
+
+def _checked(expr: Expr, raw, xmesh: np.ndarray, ymesh: np.ndarray) -> np.ndarray:
+    """Broadcast a tape value to the mesh; locate and raise a DomainError if
+    any sample is outside the expression's domain."""
     arr = np.broadcast_to(np.asarray(raw, dtype=float), xmesh.shape)
     if not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))[0]
@@ -186,17 +222,38 @@ def _evaluate_on(expr: Expr, xmesh: np.ndarray, ymesh: np.ndarray, memo=None) ->
     return arr
 
 
+def _evaluate_on(exprs, xmesh: np.ndarray, ymesh: np.ndarray,
+                 numbering=None, known=None) -> list[np.ndarray]:
+    """Evaluate expressions on explicit meshes as one tape, checked in order."""
+    with np.errstate(all="ignore"):
+        raws = eval_grid_many(exprs, xmesh, ymesh, numbering, known)
+    return [_checked(e, raw, xmesh, ymesh) for e, raw in zip(exprs, raws)]
+
+
 def evaluate_grid(expr: Expr, chart: Chart, lattice: str = "mid") -> np.ndarray:
     """Evaluate an expression on the chart's sample grid (shape ``nx x ny``)."""
-    xmesh, ymesh = chart.mesh(lattice)
-    return _evaluate_on(expr, xmesh, ymesh)
+    return evaluate_grid_many([expr], chart, lattice)[0]
 
 
 def evaluate_grid_many(exprs, chart: Chart, lattice: str = "mid") -> list[np.ndarray]:
-    """Evaluate several expressions on one grid with shared subtree caching."""
-    xmesh, ymesh = chart.mesh(lattice)
-    memo: dict = {}
-    return [_evaluate_on(e, xmesh, ymesh, memo) for e in exprs]
+    """Evaluate several expressions on the chart's sample grid.
+
+    All of them run as one value-numbered tape: a node shared between them,
+    or built twice with the same structure, is computed once, and each
+    intermediate array is dropped after its last use.  Inside
+    :func:`root_cache` the roots evaluated earlier on the same chart lattice
+    are reused instead of recomputed.
+    """
+    exprs = list(exprs)
+    cache = _ROOT_CACHE.get()
+    if cache is None:
+        xmesh, ymesh = chart.mesh(lattice)
+        return _evaluate_on(exprs, xmesh, ymesh)
+    entry = cache.lattices.get((chart, lattice))
+    if entry is None:
+        entry = cache.lattices[(chart, lattice)] = (*chart.mesh(lattice), {})
+    xmesh, ymesh, known = entry
+    return _evaluate_on(exprs, xmesh, ymesh, cache.numbering, known)
 
 
 def _flatten_exprs(obj) -> list[Expr]:
@@ -255,7 +312,7 @@ def integrate2(w: TwoForm, chart: Chart) -> float:
     xq, wx = _axis_rule(chart.x_range[0], chart.hx, chart.nx, chart.periodic_x)
     yq, wy = _axis_rule(chart.y_range[0], chart.hy, chart.ny, chart.periodic_y)
     xmesh, ymesh = np.meshgrid(xq, yq, indexing="ij")
-    values = _evaluate_on(w.r, xmesh, ymesh)
+    [values] = _evaluate_on([w.r], xmesh, ymesh)
     return float(wx @ values @ wy)
 
 
@@ -281,11 +338,11 @@ def line_integral(a: OneForm, vertices, panels: int = 128) -> float:
             continue
         if ya == yb:  # horizontal: integrate p dx
             ts = np.linspace(xa, xb, panels + 1)
-            values = _evaluate_on(a.p, ts, np.full(panels + 1, ya))
+            [values] = _evaluate_on([a.p], ts, np.full(panels + 1, ya))
             h = (xb - xa) / panels
         else:  # vertical: integrate q dy
             ts = np.linspace(ya, yb, panels + 1)
-            values = _evaluate_on(a.q, np.full(panels + 1, xa), ts)
+            [values] = _evaluate_on([a.q], np.full(panels + 1, xa), ts)
             h = (yb - ya) / panels
         total += float(weights @ values) * h / 3.0
     return total
@@ -314,7 +371,7 @@ def _cumulative_line_integral(expr: Expr, nodes: np.ndarray, other: np.ndarray,
     else:
         ymesh = np.broadcast_to(ts[None, :], (len(other), ts.size))
         xmesh = np.broadcast_to(other[:, None], ymesh.shape)
-    values = _evaluate_on(expr, xmesh, ymesh)
+    [values] = _evaluate_on([expr], xmesh, ymesh)
     per_interval = values.reshape(len(other), len(mid), 4) @ _GL4_WEIGHTS * (h / 2.0)
     out = np.zeros((len(other), len(nodes)))
     np.cumsum(per_interval, axis=1, out=out[:, 1:])

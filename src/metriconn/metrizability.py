@@ -36,6 +36,7 @@ from .forms import (
     evaluate_grid_many,
     generator_loop_integrals,
     potential_on_grid,
+    root_cache,
     sup_norm,
 )
 from .connection import (
@@ -392,7 +393,18 @@ def check_metrizability(theta: ConnectionMatrix, chart: Chart | None = None, *,
     ``NotMetricEigen`` / ``NotMetricSkew`` (with a witness point), or
     ``Inconclusive`` (the sampled curvature-zero set is a proper nonempty
     subset of the grid, where the pointwise construction does not apply).
+
+    One root cache (:func:`~metriconn.forms.root_cache`) is open for the
+    length of the call, so each stage takes the grid arrays of the
+    expressions the stages before it evaluated (``U`` inside ``S``, ``S``
+    inside ``A``) as finished leaves.
     """
+    with root_cache():
+        return _decide(theta, chart, tolerances, basepoint)
+
+
+def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances,
+            basepoint) -> MetrizabilityReport:
     if chart is not None and chart != theta.chart:
         theta = ConnectionMatrix(theta.entries, chart)
     chart = theta.chart

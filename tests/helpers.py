@@ -161,3 +161,59 @@ def symmetric_part_sup(theta: ConnectionMatrix) -> float:
         for j in range(i, theta.m):
             forms.append(theta.entries[i][j] + theta.entries[j][i])
     return sup_norm(forms, theta.chart)
+
+
+# ---------------------------------------------------------------------------
+# reference grid evaluator
+
+
+def reference_eval_grid(e: Expr, xs, ys, memo=None):
+    """The recursive tree walk that evaluated expressions on grids before the
+    tape engine, kept as the reference the engine must match bit for bit:
+    the same numpy operation per node type, a shared ``id()`` memo, no
+    domain checks."""
+    from metriconn import expr as ex
+
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit
+
+    def sub(node):
+        return reference_eval_grid(node, xs, ys, memo)
+
+    if isinstance(e, ex.Const):
+        out = e.value
+    elif isinstance(e, ex.Var):
+        out = xs if e.name == "x" else ys
+    elif isinstance(e, ex.Neg):
+        out = -sub(e.arg)
+    elif isinstance(e, ex.Add):
+        out = sub(e.left) + sub(e.right)
+    elif isinstance(e, ex.Sub):
+        out = sub(e.left) - sub(e.right)
+    elif isinstance(e, ex.Mul):
+        out = sub(e.left) * sub(e.right)
+    elif isinstance(e, ex.Div):
+        out = sub(e.left) / sub(e.right)
+    elif isinstance(e, ex.Pow):
+        b = sub(e.base)
+        n = e._int_exponent
+        if n is not None:
+            out = np.power(b, n, dtype=float) if isinstance(b, np.ndarray) else float(b) ** n
+        else:
+            out = np.power(b, e.exponent)
+    elif isinstance(e, ex.Call):
+        out = _REFERENCE_FUNCS[e.name](sub(e.arg))
+    else:
+        raise TypeError(f"cannot evaluate {type(e).__name__}")
+    memo[id(e)] = out
+    return out
+
+
+_REFERENCE_FUNCS = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "exp": np.exp, "ln": np.log, "sqrt": np.sqrt,
+    "sinh": np.sinh, "cosh": np.cosh,
+}
