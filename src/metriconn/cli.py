@@ -2,8 +2,11 @@
 
 Exit codes: 0 = metric / success, 1 = negative verdict (not metric, not
 compatible, no volume form), 2 = inconclusive or flat with a periodic
-defect, 3 = input error.  Reports go to standard output; diagnostics to
-standard error.  With ``--json`` the report is a single flat JSON object
+defect, 3 = input error: a malformed spec or option, a basepoint outside
+the chart, or a spec that cannot be evaluated (a division by zero,
+coefficients that are not finite on a sweep path, an expression too deep
+to differentiate).  Reports go to standard output; diagnostics to standard
+error.  With ``--json`` the report is a single flat JSON object
 with dotted keys and no timestamps, so identical inputs produce
 byte-identical output.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -84,9 +88,15 @@ def _apply_overrides(spec: SpecFile, args) -> SpecFile:
                     spec.metric, spec.oneform, spec.digest, spec.source)
 
 
+def _tolerance_scale(text: str) -> float:
+    scale = float(text)
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return scale
+
+
 def _tolerances(args):
-    scale = getattr(args, "tol", None)
-    return DEFAULT_TOLERANCES if not scale else DEFAULT_TOLERANCES.scaled(scale)
+    return DEFAULT_TOLERANCES if args.tol is None else DEFAULT_TOLERANCES.scaled(args.tol)
 
 
 def _chart_fields(chart: Chart):
@@ -375,7 +385,7 @@ def _cmd_example(args, out, err) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", type=int, nargs=2, metavar=("NX", "NY"),
                         help="override the chart grid")
-    parser.add_argument("--tol", type=float, default=None, metavar="T",
+    parser.add_argument("--tol", type=_tolerance_scale, default=None, metavar="T",
                         help="scale all tolerances by T")
     parser.add_argument("--json", action="store_true",
                         help="emit the machine-readable flat report")
@@ -434,8 +444,8 @@ def run(argv=None, out=None, err=None) -> int:
         return EXIT_INPUT_ERROR if exc.code else EXIT_SUCCESS
     try:
         return args.handler(args, out, err)
-    except (SpecError, ParseError, NotSPD, DomainError,
-            SingularFrame, NotFlat, ValueError) as exc:
+    except (SpecError, ParseError, NotSPD, DomainError, SingularFrame, NotFlat,
+            ValueError, ArithmeticError, RecursionError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
 

@@ -36,10 +36,29 @@ __all__ = [
     "curvature", "gauge_transform", "compatibility_residual",
     "parallel_frame_flat", "interpolate",
     "trace_connection", "trace_curvature", "residual_sup",
-    "transport_metric_x", "FLATNESS_SCALE",
+    "transport_metric_x",
 ]
 
-FLATNESS_SCALE = 1e-9
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Baseline tolerances; the scaled variants actually applied are echoed
+    in every report."""
+
+    flat: float = 1e-9          # scaled by 1 + sup|theta|
+    eigen_trace: float = 1e-8   # scaled pointwise by max|U|
+    eigen_det: float = 1e-10    # scaled pointwise by max|U|^2
+    skew: float = 1e-8          # scaled by 1 + sup|theta'|
+    compat: float = 1e-8        # scaled by metric/connection magnitudes
+    kernel: float = 1e-10       # matrix-kernel residuals
+
+    def scaled(self, factor: float) -> "Tolerances":
+        f = float(factor)
+        return Tolerances(self.flat * f, self.eigen_trace * f, self.eigen_det * f,
+                          self.skew * f, self.compat * f, self.kernel * f)
+
+
+DEFAULT_TOLERANCES = Tolerances()
 
 
 class ChartMismatch(ValueError):
@@ -355,18 +374,19 @@ def interpolate(theta: ConnectionMatrix, psi: ConnectionMatrix, t: float) -> Con
 @dataclass(frozen=True)
 class ParallelFrame:
     """Grid-sampled frame ``B`` with ``dB = -theta B`` and ``B = I`` at the
-    basepoint, stored on the node lattice.
+    basepoint, stored on the node lattice as ``values[i, j] = B(x_i, y_j)``.
 
-    ``loop_x`` / ``loop_y`` hold the transport matrices around the periodic
-    generators (``None`` on non-periodic axes); a loop matrix away from the
-    identity signals that no global parallel frame exists.
+    ``residual_max`` is the largest node residual of ``dB + theta B`` under
+    sixth-order finite differences.  ``loop_x`` / ``loop_y`` hold the
+    transport matrices around the periodic generators (``None`` on
+    non-periodic axes); a loop matrix away from the identity signals that no
+    global parallel frame exists.
     """
 
     chart: Chart
     basepoint: tuple[float, float]
     values: np.ndarray
     residual_max: float
-    sweep_discrepancy: float
     loop_x: np.ndarray | None
     loop_y: np.ndarray | None
 
@@ -382,9 +402,17 @@ class ParallelFrame:
         return defect
 
     def metric_samples(self) -> np.ndarray:
-        """The parallel metric ``(B B^T)^-1`` at every node."""
-        bbt = self.values @ np.swapaxes(self.values, 2, 3)
-        return np.linalg.inv(bbt)
+        """The parallel metric ``(B B^T)^-1 = B^-T B^-1`` at every node, in
+        the 2x2 closed form."""
+        a, b = self.values[..., 0, 0], self.values[..., 0, 1]
+        c, d = self.values[..., 1, 0], self.values[..., 1, 1]
+        det = a * d - b * c
+        det2 = det * det
+        out = np.empty(self.values.shape)
+        out[..., 0, 0] = (c * c + d * d) / det2
+        out[..., 0, 1] = out[..., 1, 0] = -(a * c + b * d) / det2
+        out[..., 1, 1] = (a * a + b * b) / det2
+        return out
 
 
 @dataclass(frozen=True)
@@ -406,173 +434,116 @@ class GridConnection:
 RK4_SUBSTEPS = 2
 
 
-def _rk4_step(mat_a, mat_b, mat_c, b, h):
-    # one RK4 step of B' = M(t) B given M at t, t + h/2, t + h
-    k1 = mat_a @ b
-    k2 = mat_b @ (b + (h / 2.0) * k1)
-    k3 = mat_b @ (b + (h / 2.0) * k2)
-    k4 = mat_c @ (b + h * k3)
-    return b + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _coefficient_samples(coeffs, xs, ys) -> np.ndarray:
+    """Sample a 2x2 Expr matrix on open meshes ``xs``, ``ys``, arrays that
+    broadcast against each other such as ``xs[:, None]`` and ``ys[None, :]``.
 
-
-def _coefficient_samples(coeffs, xmesh, ymesh):
-    """Evaluate an Expr matrix on meshes, stacked as (*mesh.shape, m, m)."""
-    m = len(coeffs)
+    Returns shape ``(2, 2, *s)``, where ``s`` is the broadcast of the
+    entries' own value shapes: an entry that depends on one axis is computed
+    on that axis alone, and ``s`` is only as large as the entries need.
+    """
     with np.errstate(all="ignore"):
-        raws = eval_grid_many([coeffs[i][j] for i in range(m) for j in range(m)],
-                              xmesh, ymesh)
-    rows = [
-        [np.broadcast_to(np.asarray(raws[i * m + j], dtype=float), xmesh.shape)
-         for j in range(m)]
-        for i in range(m)
-    ]
-    out = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+        raws = [np.asarray(raw, dtype=float) for raw in
+                eval_grid_many([e for row in coeffs for e in row], xs, ys)]
+    shape = np.broadcast_shapes(*(raw.shape for raw in raws),
+                                (1,) * max(np.ndim(xs), np.ndim(ys)))
+    out = np.stack([np.broadcast_to(raw, shape) for raw in raws]).reshape((2, 2) + shape)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("connection coefficients are not finite on the sweep path")
     return out
 
 
-def _transport_line(coeffs, fixed, fixed_is_y, t0, t1, steps, b0):
-    """Transport B' = -theta_axis B along one axis-aligned segment."""
-    if t0 == t1 or steps == 0:
-        return b0
-    steps = steps * RK4_SUBSTEPS
-    ts = np.linspace(t0, t1, 2 * steps + 1)
-    if fixed_is_y:
-        mats = -_coefficient_samples(coeffs, ts, np.full_like(ts, fixed))
-    else:
-        mats = -_coefficient_samples(coeffs, np.full_like(ts, fixed), ts)
-    h = (t1 - t0) / steps
-    b = b0
-    for k in range(steps):
-        b = _rk4_step(mats[2 * k], mats[2 * k + 1], mats[2 * k + 2], b, h)
-    return b
+def _mul(a, b):
+    """2x2 matrix product of component arrays: entry ``[i, j]`` of an
+    operand is an array over its batch, so the product is elementwise."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
 
-def _line_sweep(coeffs, fixed, fixed_is_y, nodes, h, b_start):
-    """Advance frames node-to-node along one gridline, starting from
-    ``b_start`` at ``nodes[0]``."""
-    n = len(nodes)
-    out = np.empty((n,) + b_start.shape)
-    out[0] = b_start
-    if n == 1:
-        return out
-    sub = RK4_SUBSTEPS
-    ts = np.linspace(nodes[0], nodes[-1], 2 * sub * (n - 1) + 1)
-    if fixed_is_y:
-        mats = -_coefficient_samples(coeffs, ts, np.full_like(ts, fixed))
-    else:
-        mats = -_coefficient_samples(coeffs, np.full_like(ts, fixed), ts)
-    hs = h / sub
-    b = b_start
-    for i in range(n - 1):
-        for s in range(sub):
-            k = 2 * (i * sub + s)
-            b = _rk4_step(mats[k], mats[k + 1], mats[k + 2], b, hs)
-        out[i + 1] = b
-    return out
+def _transport(coeffs, along_x: bool, t0: float, h: float, intervals: int, fixed, b0):
+    """Advance parallel frames along a batch of gridlines in lockstep.
 
-
-def _batched_sweep(coeffs, along_y: bool, xs, ys, h, init):
-    """Advance a whole batch of gridlines in lockstep along one axis.
-
-    With ``along_y`` the batch is the rows ``init[i] = B(x_i, ys[0])`` and
-    columns advance together; otherwise the roles are exchanged.
+    Solves ``B' = -M(t) B`` with classical RK4, ``RK4_SUBSTEPS`` steps per
+    node interval, where ``M`` is the Expr matrix ``coeffs`` (the dx
+    coefficients when ``along_x``, else the dy ones).  Line ``l`` lies at
+    ``fixed[l]`` on the other axis and runs from ``t0`` through
+    ``intervals`` node intervals of signed length ``h``.  Frames are
+    component arrays of shape ``(2, 2, len(fixed))``, starting from ``b0``;
+    the result holds them at every node, shape
+    ``(intervals + 1, 2, 2, len(fixed))``.
     """
-    sub = RK4_SUBSTEPS
-    hs = h / sub
-    if along_y:
-        n = len(ys)
-        half = np.linspace(ys[0], ys[-1], 2 * sub * (n - 1) + 1)
-        xmesh, ymesh = np.meshgrid(xs, half, indexing="ij")
-        mats = -_coefficient_samples(coeffs, xmesh, ymesh)  # (nx, samples, m, m)
-        out = np.empty((len(xs), n) + init.shape[1:])
-        out[:, 0] = init
-        cur = init
-        for j in range(n - 1):
-            for s in range(sub):
-                k = 2 * (j * sub + s)
-                cur = _rk4_step(mats[:, k], mats[:, k + 1], mats[:, k + 2], cur, hs)
-            out[:, j + 1] = cur
+    out = np.empty((intervals + 1, 2, 2, len(fixed)))
+    out[0] = b0
+    if intervals == 0:
         return out
-    n = len(xs)
-    half = np.linspace(xs[0], xs[-1], 2 * sub * (n - 1) + 1)
-    xmesh, ymesh = np.meshgrid(half, ys, indexing="ij")
-    mats = -_coefficient_samples(coeffs, xmesh, ymesh)  # (samples, ny, m, m)
-    out = np.empty((n, len(ys)) + init.shape[1:])
-    out[0] = init
-    cur = init
-    for i in range(n - 1):
-        for s in range(sub):
-            k = 2 * (i * sub + s)
-            cur = _rk4_step(mats[k], mats[k + 1], mats[k + 2], cur, hs)
-        out[i + 1] = cur
+    steps = intervals * RK4_SUBSTEPS
+    ts = np.linspace(t0, t0 + intervals * h, 2 * steps + 1)[:, None]
+    line = np.asarray(fixed, dtype=float)[None, :]
+    mats = _coefficient_samples(coeffs, *((ts, line) if along_x else (line, ts)))
+    mats = np.broadcast_to(mats, (2, 2, ts.size, mats.shape[-1]))
+    # RK4 on B' = M B with the step negated: every stage only flips sign,
+    # exactly, so this is RK4 on B' = -M B without negating the samples
+    hs = -h / RK4_SUBSTEPS
+    b = out[0]
+    for s in range(steps):
+        k1 = _mul(mats[:, :, 2 * s], b)
+        k2 = _mul(mats[:, :, 2 * s + 1], b + (hs / 2.0) * k1)
+        k3 = _mul(mats[:, :, 2 * s + 1], b + (hs / 2.0) * k2)
+        k4 = _mul(mats[:, :, 2 * s + 2], b + hs * k3)
+        b = b + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (s + 1) % RK4_SUBSTEPS == 0:
+            out[(s + 1) // RK4_SUBSTEPS] = b
     return out
 
 
-def _sweep(theta: ConnectionMatrix, basepoint, x_first: bool) -> np.ndarray:
+def _transport_to(coeffs, along_x: bool, t0: float, t1: float, h: float, fixed, b0):
+    """Frames at ``t1``, transported from ``b0`` at ``t0`` through node
+    intervals no longer than ``h``."""
+    intervals = 0 if t0 == t1 else max(1, int(np.ceil(abs(t1 - t0) / h)))
+    return _transport(coeffs, along_x, t0, (t1 - t0) / max(intervals, 1), intervals,
+                      fixed, b0)[-1]
+
+
+def _sweep(theta: ConnectionMatrix, basepoint, x_first: bool = True) -> np.ndarray:
+    """Parallel frame at every node as component arrays, shape
+    ``(2, 2, nx, ny)``: transport from the basepoint to the first node of its
+    gridline on the first axis and along that gridline, then move the whole
+    line to the first node of the second axis and sweep every gridline of
+    the second axis in lockstep."""
     chart = theta.chart
-    m = theta.m
-    xb, yb = basepoint
-    p = theta.p_matrix()
-    q = theta.q_matrix()
-    xs = chart.xs("node")
-    ys = chart.ys("node")
-    eye = np.eye(m)
-
-    if x_first:
-        # basepoint -> first node column, along the row y = yb, then columns
-        steps0 = max(1, int(np.ceil(abs(xs[0] - xb) / chart.hx))) if xs[0] != xb else 0
-        start = _transport_line(p, yb, True, xb, xs[0], steps0, eye)
-        row = _line_sweep(p, yb, True, xs, chart.hx, start)  # (nx, m, m)
-        stepsv = max(1, int(np.ceil(abs(ys[0] - yb) / chart.hy))) if ys[0] != yb else 0
-        if stepsv:
-            stepsv *= RK4_SUBSTEPS
-            ts = np.linspace(yb, ys[0], 2 * stepsv + 1)
-            xmesh, ymesh = np.meshgrid(xs, ts, indexing="ij")
-            mats = -_coefficient_samples(q, xmesh, ymesh)
-            h = (ys[0] - yb) / stepsv
-            for k in range(stepsv):
-                row = _rk4_step(mats[:, 2 * k], mats[:, 2 * k + 1], mats[:, 2 * k + 2], row, h)
-        return _batched_sweep(q, True, xs, ys, chart.hy, row)
-
-    steps0 = max(1, int(np.ceil(abs(ys[0] - yb) / chart.hy))) if ys[0] != yb else 0
-    start = _transport_line(q, xb, False, yb, ys[0], steps0, eye)
-    col = _line_sweep(q, xb, False, ys, chart.hy, start)  # (ny, m, m)
-    stepsh = max(1, int(np.ceil(abs(xs[0] - xb) / chart.hx))) if xs[0] != xb else 0
-    if stepsh:
-        stepsh *= RK4_SUBSTEPS
-        ts = np.linspace(xb, xs[0], 2 * stepsh + 1)
-        xmesh, ymesh = np.meshgrid(ts, ys, indexing="ij")
-        mats = -_coefficient_samples(p, xmesh, ymesh)
-        h = (xs[0] - xb) / stepsh
-        for k in range(stepsh):
-            col = _rk4_step(mats[2 * k], mats[2 * k + 1], mats[2 * k + 2], col, h)
-    return _batched_sweep(p, False, xs, ys, chart.hx, col)
+    first = (theta.p_matrix(), True, chart.xs("node"), chart.hx, basepoint[0])
+    second = (theta.q_matrix(), False, chart.ys("node"), chart.hy, basepoint[1])
+    if not x_first:
+        first, second = second, first
+    (c1, along1, nodes1, h1, b1), (c2, along2, nodes2, h2, b2) = first, second
+    start = _transport_to(c1, along1, b1, nodes1[0], h1, [b2], np.eye(2)[:, :, None])
+    line = _transport(c1, along1, nodes1[0], h1, len(nodes1) - 1, [b2], start)
+    line = np.moveaxis(line[..., 0], 0, -1)
+    line = _transport_to(c2, along2, b2, nodes2[0], h2, nodes1, line)
+    grid = np.moveaxis(_transport(c2, along2, nodes2[0], h2, len(nodes2) - 1, nodes1, line),
+                       0, -1)
+    return grid if x_first else grid.swapaxes(2, 3)
 
 
-def parallel_frame_flat(theta: ConnectionMatrix, basepoint=None) -> ParallelFrame:
-    """Construct a parallel frame for a flat connection by fourth-order ODE
-    integration along the x-gridline through the basepoint, then along
-    y-gridlines.
+def parallel_frame_flat(theta: ConnectionMatrix, basepoint=None, *,
+                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> ParallelFrame:
+    """Construct a parallel frame for a flat rank-2 connection by RK4
+    integration along the x-gridline through the basepoint, then along all
+    y-gridlines in lockstep.
 
-    Requires the curvature to vanish on the grid (scaled threshold);
-    raises :class:`NotFlat` otherwise.  The returned frame satisfies
-    ``B(basepoint) = I`` and ``dB = -theta B`` up to the reported residual.
-    A y-first sweep is run as a cross-check and the maximum discrepancy
-    reported; on periodic charts the loop transports around the generators
+    Requires the curvature to vanish on the grid, to within
+    ``tolerances.flat`` scaled by ``1 + sup|theta|``; raises
+    :class:`NotFlat` otherwise.  The returned frame satisfies
+    ``B(basepoint) = I`` and ``dB = -theta B`` up to the reported node
+    residual; on periodic charts the loop transports around the generators
     are recorded as well.
     """
+    if theta.m != 2:
+        raise ValueError("parallel frames are implemented for rank-2 bundles")
     chart = theta.chart
-    if basepoint is None:
-        basepoint = chart.basepoint
-    xb, yb = float(basepoint[0]), float(basepoint[1])
-    if not chart.contains(xb, yb):
-        raise ValueError(f"basepoint {basepoint} lies outside the chart")
+    xb, yb = chart.point(basepoint)
 
     omega = curvature(theta)
-    scale = 1.0 + theta.sup()
-    threshold = FLATNESS_SCALE * scale
+    threshold = tolerances.flat * (1.0 + theta.sup())
     mags = [np.abs(arr) for arr in evaluate_grid_many(
         [f.r for row in omega.entries for f in row], chart)]
     peak = np.maximum.reduce(mags)
@@ -581,47 +552,40 @@ def parallel_frame_flat(theta: ConnectionMatrix, basepoint=None) -> ParallelFram
         point = (float(chart.xs()[i]), float(chart.ys()[j]))
         raise NotFlat(point, float(peak[i, j]), threshold)
 
-    values = _sweep(theta, (xb, yb), x_first=True)
-    cross = _sweep(theta, (xb, yb), x_first=False)
-    discrepancy = float(np.max(np.abs(values - cross)))
+    values = np.ascontiguousarray(np.moveaxis(_sweep(theta, (xb, yb)), (0, 1), (2, 3)))
+    residual = max(float(np.max(np.abs(res))) for res in _frame_residuals(theta, values))
 
-    # residual dB + theta B at the nodes; the frame itself need not be
-    # periodic even on a periodic chart, so one-sided stencils are used
-    xmesh, ymesh = chart.mesh("node")
-    theta_p = _coefficient_samples(theta.p_matrix(), xmesh, ymesh)
-    theta_q = _coefficient_samples(theta.q_matrix(), xmesh, ymesh)
-    res_x = grid_derivative(values, chart.hx, 0, periodic=False) + theta_p @ values
-    res_y = grid_derivative(values, chart.hy, 1, periodic=False) + theta_q @ values
-    residual = float(max(np.max(np.abs(res_x)), np.max(np.abs(res_y))))
-
-    m = theta.m
+    eye = np.eye(2)[:, :, None]
     loop_x = loop_y = None
     if chart.periodic_x:
-        length = chart.x_range[1] - chart.x_range[0]
-        loop_x = _transport_line(theta.p_matrix(), yb, True, xb, xb + length,
-                                 chart.nx, np.eye(m))
+        loop_x = _transport(theta.p_matrix(), True, xb, chart.hx, chart.nx,
+                            [yb], eye)[-1, ..., 0]
     if chart.periodic_y:
-        length = chart.y_range[1] - chart.y_range[0]
-        loop_y = _transport_line(theta.q_matrix(), xb, False, yb, yb + length,
-                                 chart.ny, np.eye(m))
+        loop_y = _transport(theta.q_matrix(), False, yb, chart.hy, chart.ny,
+                            [xb], eye)[-1, ..., 0]
 
-    return ParallelFrame(chart, (xb, yb), values, residual, discrepancy, loop_x, loop_y)
+    return ParallelFrame(chart, (xb, yb), values, residual, loop_x, loop_y)
+
+
+def _frame_residuals(theta: ConnectionMatrix, values: np.ndarray) -> list:
+    """``dB + theta B`` at the nodes, the x and the y part, each shaped like
+    ``values``.  The frame need not be periodic even on a periodic chart, so
+    one-sided stencils are used."""
+    chart = theta.chart
+    xs, ys = chart.xs("node")[:, None], chart.ys("node")[None, :]
+    frames = np.moveaxis(values, (2, 3), (0, 1))
+    return [grid_derivative(values, h, axis, periodic=False)
+            + np.moveaxis(_mul(_coefficient_samples(coeffs, xs, ys), frames), (0, 1), (2, 3))
+            for coeffs, h, axis in ((theta.p_matrix(), chart.hx, 0),
+                                    (theta.q_matrix(), chart.hy, 1))]
 
 
 def _gauge_transform_sampled(theta: ConnectionMatrix, frame: ParallelFrame) -> GridConnection:
     if theta.chart != frame.chart:
         raise ChartMismatch("connection and frame live on different charts")
-    chart = theta.chart
-    b = frame.values
-    binv = np.linalg.inv(b)
-    xmesh, ymesh = chart.mesh("node")
-    theta_p = _coefficient_samples(theta.p_matrix(), xmesh, ymesh)
-    theta_q = _coefficient_samples(theta.q_matrix(), xmesh, ymesh)
-    db_x = grid_derivative(b, chart.hx, 0, periodic=False)
-    db_y = grid_derivative(b, chart.hy, 1, periodic=False)
-    new_p = binv @ (db_x + theta_p @ b)
-    new_q = binv @ (db_y + theta_q @ b)
-    return GridConnection(new_p, new_q, chart)
+    binv = np.linalg.inv(frame.values)
+    new_p, new_q = (binv @ res for res in _frame_residuals(theta, frame.values))
+    return GridConnection(new_p, new_q, theta.chart)
 
 
 def transport_metric_x(theta: ConnectionMatrix, g0: np.ndarray, y: float | None = None,
@@ -638,7 +602,8 @@ def transport_metric_x(theta: ConnectionMatrix, g0: np.ndarray, y: float | None 
     x0 = chart.x_range[0]
     length = (chart.x_range[1] - x0) * float(periods)
     ts = np.linspace(x0, x0 + length, 2 * steps + 1)
-    mats = _coefficient_samples(theta.p_matrix(), ts, np.full_like(ts, y))
+    samples = _coefficient_samples(theta.p_matrix(), ts, np.full_like(ts, y))
+    mats = np.moveaxis(np.broadcast_to(samples, (2, 2, ts.size)), 2, 0)
     h = length / steps
     g = np.array(g0, dtype=float)
 

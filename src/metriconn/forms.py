@@ -104,6 +104,16 @@ class Chart:
         return (self.x_range[0] <= x <= self.x_range[1]
                 and self.y_range[0] <= y <= self.y_range[1])
 
+    def point(self, basepoint=None) -> tuple[float, float]:
+        """``basepoint`` as a pair of floats, or the chart's own basepoint
+        when it is ``None``.  A point outside the chart is a ValueError."""
+        if basepoint is None:
+            return self.basepoint
+        x, y = float(basepoint[0]), float(basepoint[1])
+        if not self.contains(x, y):
+            raise ValueError(f"basepoint {(x, y)} lies outside the chart")
+        return (x, y)
+
     def with_grid(self, nx: int, ny: int) -> "Chart":
         return Chart(self.x_range, self.y_range, self.periodic_x, self.periodic_y, (nx, ny))
 
@@ -391,8 +401,8 @@ def potential_on_grid(a: OneForm, chart: Chart, basepoint=None) -> np.ndarray:
     base_row = _cumulative_line_integral(a.p, xs, np.array([y0]), True)[0]
     columns = _cumulative_line_integral(a.q, ys, xs, False)
     samples = base_row[:, None] + columns
-    if basepoint is not None and tuple(basepoint) != (x0, y0):
-        xb, yb = float(basepoint[0]), float(basepoint[1])
+    xb, yb = chart.point(basepoint)
+    if (xb, yb) != (x0, y0):
         offset = line_integral(a, [(x0, y0), (xb, y0), (xb, yb)],
                                panels=4 * max(chart.nx, chart.ny))
         samples = samples - offset

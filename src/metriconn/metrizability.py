@@ -40,10 +40,12 @@ from .forms import (
     sup_norm,
 )
 from .connection import (
+    DEFAULT_TOLERANCES,
     ConnectionMatrix,
     CurvatureMatrix,
     FrameChange,
     MetricField,
+    Tolerances,
     compatibility_residual,
     curvature,
     gauge_transform,
@@ -69,27 +71,6 @@ class Verdict(enum.Enum):
     NOT_METRIC_EIGEN = "NotMetricEigen"
     NOT_METRIC_SKEW = "NotMetricSkew"
     INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Baseline tolerances; the scaled variants actually applied are echoed
-    in every report."""
-
-    flat: float = 1e-9          # scaled by 1 + sup|theta|
-    eigen_trace: float = 1e-8   # scaled pointwise by max|U|
-    eigen_det: float = 1e-10    # scaled pointwise by max|U|^2
-    skew: float = 1e-8          # scaled by 1 + sup|theta'|
-    compat: float = 1e-8        # scaled by metric/connection magnitudes
-    kernel: float = 1e-10       # matrix-kernel residuals
-
-    def scaled(self, factor: float) -> "Tolerances":
-        f = float(factor)
-        return Tolerances(self.flat * f, self.eigen_trace * f, self.eigen_det * f,
-                          self.skew * f, self.compat * f, self.kernel * f)
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 
 class DegenerateVolume(ValueError):
@@ -393,6 +374,7 @@ def check_metrizability(theta: ConnectionMatrix, chart: Chart | None = None, *,
     ``NotMetricEigen`` / ``NotMetricSkew`` (with a witness point), or
     ``Inconclusive`` (the sampled curvature-zero set is a proper nonempty
     subset of the grid, where the pointwise construction does not apply).
+    A basepoint outside the chart is a ValueError, whatever the verdict.
 
     One root cache (:func:`~metriconn.forms.root_cache`) is open for the
     length of the call, so each stage takes the grid arrays of the
@@ -410,6 +392,7 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
     chart = theta.chart
     if theta.m != 2:
         raise ValueError("metrizability decision is implemented for rank-2 bundles")
+    basepoint = chart.point(basepoint)
 
     theta_sup = theta.sup()
     flat_tol = tolerances.flat * (1.0 + theta_sup)
@@ -429,7 +412,7 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
     zero_fraction = float(np.mean(zero_mask))
 
     if zero_fraction == 1.0:
-        frame = parallel_frame_flat(theta, basepoint)
+        frame = parallel_frame_flat(theta, basepoint, tolerances=tolerances)
         return MetrizabilityReport(
             verdict=Verdict.FLAT,
             chart=chart,

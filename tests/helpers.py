@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from metriconn.expr import Const, Expr, X, Y, cos, exp, ln, sin, sqrt
-from metriconn.forms import Chart, OneForm, evaluate_grid_many
+from metriconn.expr import Const, Expr, X, Y, cos, eval_grid_many, exp, ln, sin, sqrt
+from metriconn.forms import Chart, OneForm, evaluate_grid_many, grid_derivative
 from metriconn.connection import ConnectionMatrix, FrameChange, curvature, gauge_transform
 
 TAU = 2.0 * np.pi
@@ -87,6 +87,29 @@ def scrambled_instance(rng, chart: Chart):
     theta0 = random_skew_connection(rng, chart)
     frame = random_gauge(rng, chart)
     return theta0, frame, gauge_transform(theta0, frame)
+
+
+def scrambled_flat_connection(chart: Chart) -> ConnectionMatrix:
+    """A gauge of the zero connection: flat, with coefficients that depend on
+    both axes, and a parallel frame that undoes the gauge."""
+    frame = FrameChange(((cos(X) * exp(sin(Y) * 0.2), sin(X)),
+                         ((-sin(X)), cos(X) * exp(sin(Y) * -0.2))), chart)
+    z = zero_form()
+    return gauge_transform(ConnectionMatrix(((z, z), (z, z)), chart), frame)
+
+
+def commuting_flat_connection(rng, chart: Chart) -> ConnectionMatrix:
+    """``f(x) M1 dx + g(y) M2 dy`` with ``M2 = alpha I + beta M1``: the two
+    coefficient matrices commute, so the connection is flat."""
+    a = rng.uniform(-0.5, 0.5, 3)
+    c = rng.uniform(-0.5, 0.5, 3)
+    f = Const(a[0]) + Const(a[1]) * sin(X) + Const(a[2]) * cos(X * 2.0)
+    g = Const(c[0]) + Const(c[1]) * cos(Y) + Const(c[2]) * sin(Y * 2.0)
+    m1 = rng.uniform(-1.0, 1.0, (2, 2))
+    m2 = rng.uniform(-0.5, 0.5) * np.eye(2) + rng.uniform(-1.0, 1.0) * m1
+    return ConnectionMatrix(tuple(
+        tuple(OneForm(f * Const(m1[i, j]), g * Const(m2[i, j])) for j in range(2))
+        for i in range(2)), chart)
 
 
 def random_safe_expr(rng, depth=3) -> Expr:
@@ -217,3 +240,109 @@ _REFERENCE_FUNCS = {
     "exp": np.exp, "ln": np.log, "sqrt": np.sqrt,
     "sinh": np.sinh, "cosh": np.cosh,
 }
+
+
+# ---------------------------------------------------------------------------
+# reference flat frame
+
+
+def _reference_rk4_step(mat_a, mat_b, mat_c, b, h):
+    # one RK4 step of B' = M(t) B given M at t, t + h/2, t + h
+    k1 = mat_a @ b
+    k2 = mat_b @ (b + (h / 2.0) * k1)
+    k3 = mat_b @ (b + (h / 2.0) * k2)
+    k4 = mat_c @ (b + h * k3)
+    return b + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_samples(coeffs, xmesh, ymesh):
+    # an Expr matrix on full meshes, stacked as (*mesh.shape, m, m)
+    m = len(coeffs)
+    with np.errstate(all="ignore"):
+        raws = eval_grid_many([coeffs[i][j] for i in range(m) for j in range(m)],
+                              xmesh, ymesh)
+    rows = [[np.broadcast_to(np.asarray(raws[i * m + j], dtype=float), xmesh.shape)
+             for j in range(m)] for i in range(m)]
+    out = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    assert np.all(np.isfinite(out))
+    return out
+
+
+def _reference_line(coeffs, fixed, along_x, t0, t1, steps, b0, h=None, record=False):
+    # RK4 along one gridline, 2 substeps of h per node interval (by default
+    # an even split of t0..t1); with `record` the frames at every node, else
+    # the frame at t1
+    steps *= 2
+    ts = np.linspace(t0, t1, 2 * steps + 1)
+    other = np.full_like(ts, fixed)
+    mats = -_reference_samples(coeffs, *((ts, other) if along_x else (other, ts)))
+    if h is None:
+        h = (t1 - t0) / steps
+    out = [b0]
+    b = b0
+    for k in range(steps):
+        b = _reference_rk4_step(mats[2 * k], mats[2 * k + 1], mats[2 * k + 2], b, h)
+        if k % 2 == 1:
+            out.append(b)
+    return np.array(out) if record else b
+
+
+def reference_flat_frame(theta: ConnectionMatrix, basepoint=None):
+    """The parallel frame as it was computed before the lockstep RK4 on
+    component arrays: the x-first sweep with one stacked 2x2 matmul per RK4
+    stage, the node residual ``dB + theta B`` through stacked matmuls, the
+    loop transports, and the metric ``(B B^T)^-1`` through
+    ``np.linalg.inv``.
+    Returns ``(values, metric, residual, loop_defect)``."""
+    chart = theta.chart
+    xb, yb = chart.basepoint if basepoint is None else basepoint
+    p, q = theta.p_matrix(), theta.q_matrix()
+    xs, ys = chart.xs("node"), chart.ys("node")
+
+    def steps_to(t0, t1, h):
+        return max(1, int(np.ceil(abs(t1 - t0) / h))) if t1 != t0 else 0
+
+    start = np.eye(2)
+    if steps_to(xb, xs[0], chart.hx):
+        start = _reference_line(p, yb, True, xb, xs[0], steps_to(xb, xs[0], chart.hx), start)
+    row = _reference_line(p, yb, True, xs[0], xs[-1], len(xs) - 1, start, chart.hx / 2,
+                          record=True)
+    stepsv = 2 * steps_to(yb, ys[0], chart.hy)
+    if stepsv:
+        xmesh, ymesh = np.meshgrid(xs, np.linspace(yb, ys[0], 2 * stepsv + 1), indexing="ij")
+        mats = -_reference_samples(q, xmesh, ymesh)
+        h = (ys[0] - yb) / stepsv
+        for k in range(stepsv):
+            row = _reference_rk4_step(mats[:, 2 * k], mats[:, 2 * k + 1], mats[:, 2 * k + 2],
+                                      row, h)
+    xmesh, ymesh = np.meshgrid(xs, np.linspace(ys[0], ys[-1], 4 * (len(ys) - 1) + 1),
+                               indexing="ij")
+    mats = -_reference_samples(q, xmesh, ymesh)
+    values = np.empty((len(xs), len(ys), 2, 2))
+    values[:, 0] = cur = row
+    for j in range(len(ys) - 1):
+        for s in range(2):
+            k = 2 * (2 * j + s)
+            cur = _reference_rk4_step(mats[:, k], mats[:, k + 1], mats[:, k + 2], cur,
+                                      chart.hy / 2)
+        values[:, j + 1] = cur
+
+    xmesh, ymesh = chart.mesh("node")
+    res_x = (grid_derivative(values, chart.hx, 0, periodic=False)
+             + _reference_samples(p, xmesh, ymesh) @ values)
+    res_y = (grid_derivative(values, chart.hy, 1, periodic=False)
+             + _reference_samples(q, xmesh, ymesh) @ values)
+    residual = float(max(np.max(np.abs(res_x)), np.max(np.abs(res_y))))
+
+    defect = 0.0
+    if chart.periodic_x:
+        length = chart.x_range[1] - chart.x_range[0]
+        loop = _reference_line(p, yb, True, xb, xb + length, chart.nx, np.eye(2))
+        defect = max(defect, float(np.max(np.abs(loop - np.eye(2)))))
+    if chart.periodic_y:
+        length = chart.y_range[1] - chart.y_range[0]
+        loop = _reference_line(q, xb, False, yb, yb + length, chart.ny, np.eye(2))
+        defect = max(defect, float(np.max(np.abs(loop - np.eye(2)))))
+
+    metric = np.linalg.inv(values @ np.swapaxes(values, 2, 3))
+    return values, metric, residual, defect

@@ -264,3 +264,52 @@ def test_tolerance_scaling_is_echoed():
     _, loose, _ = run_json("check", str(SPECS / "skew.conn"), "--tol", "10")
     assert loose["tolerance.skew_base"] == 10 * strict["tolerance.skew_base"]
     assert loose["verdict"] == strict["verdict"] == "Metric"
+
+
+def _spec(tmp_path, name, connection, chart="x = -1 .. 1\ny = -1 .. 1\ngrid = 32 32\n"):
+    path = tmp_path / name
+    path.write_text(f"[chart]\n{chart}\n[connection]\n{connection}\n", encoding="utf-8")
+    return str(path)
+
+
+def test_one_flat_tolerance(tmp_path):
+    # curvature 5e-9: flat under --tol 10, not flat under the defaults; the
+    # parallel frame takes the same scaled tolerance as the decision
+    spec = _spec(tmp_path, "near_flat.conn", "theta.1.2.dy = 5e-9 * x")
+    code, fields, err = run_json("check", spec, "--tol", "10")
+    assert (code, fields["verdict"], err) == (0, "Flat", "")
+    code, fields, _ = run_json("check", spec)
+    assert (code, fields["verdict"]) == (1, "NotMetricEigen")
+
+
+@pytest.mark.parametrize("command,connection", [
+    ("check", "theta.1.1.dx = 1/0"),
+    # flat, finite on the sample grid, infinite on the node line x = 0
+    ("check", "theta.1.1.dx = 1/x"),
+    ("check", "theta.1.2.dy = " + " + ".join(["sin(x)"] * 5000)),
+    ("volume", "theta.1.2.dy = " + " + ".join(["sin(x)"] * 5000)),
+])
+def test_numerical_failures_are_input_errors(tmp_path, command, connection):
+    spec = _spec(tmp_path, "bad.conn", connection,
+                 chart="x = 0 .. 1\ny = 0 .. 1\ngrid = 16 16\n")
+    code, out, err = run_cli(command, spec)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_tolerance_scale_must_be_finite_and_positive(value, capsys):
+    code, out, _ = run_cli("check", str(SPECS / "skew.conn"), "--tol", value)
+    assert code == 3
+    assert out == ""
+    # argparse writes its usage errors to the process's stderr
+    assert "argument --tol: must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "volume"])
+def test_basepoint_outside_the_chart_is_input_error(command):
+    code, out, err = run_cli(command, str(SPECS / "skew.conn"), "--basepoint", "100", "100")
+    assert code == 3
+    assert out == ""
+    assert "outside the chart" in err

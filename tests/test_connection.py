@@ -18,6 +18,7 @@ from metriconn.connection import (
     trace_connection,
     trace_curvature,
     transport_metric_x,
+    _sweep,
 )
 from metriconn.forms import d1
 
@@ -25,6 +26,7 @@ from helpers import (
     TAU,
     random_gauge,
     random_skew_connection,
+    scrambled_flat_connection,
     skew_connection,
     symmetric_part_sup,
     torus_chart,
@@ -210,15 +212,19 @@ def test_flat_reconstruction_round_trip(torus):
 
 def test_flat_round_trip_gauge_scrambled(chart):
     # a gauge of the zero connection is flat; its parallel frame undoes it
-    frame0 = FrameChange(((cos(X) * exp(sin(Y) * 0.2), sin(X)),
-                          ((-sin(X)), cos(X) * exp(sin(Y) * -0.2))), chart)
-    z = zero_form()
-    zero_conn = ConnectionMatrix(((z, z), (z, z)), chart)
-    theta = gauge_transform(zero_conn, frame0)
+    theta = scrambled_flat_connection(chart)
     frame = parallel_frame_flat(theta)
     assert frame.residual_max <= 1e-6
-    assert frame.sweep_discrepancy <= 1e-6
     assert gauge_transform(theta, frame).max_abs() <= 1e-6
+
+
+@pytest.mark.parametrize("basepoint", [(0.0, 0.0), (1.3, 2.2)])
+def test_parallel_frame_path_independent(chart, basepoint):
+    # on a flat connection, sweeping y-first lands on the x-first frame
+    theta = scrambled_flat_connection(chart)
+    x_first = _sweep(theta, basepoint, x_first=True)
+    y_first = _sweep(theta, basepoint, x_first=False)
+    assert np.max(np.abs(x_first - y_first)) <= 1e-6
 
 
 def test_transport_metric_growth(torus):

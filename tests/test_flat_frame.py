@@ -1,0 +1,111 @@
+"""The lockstep RK4 parallel frame against the sweep it replaced
+(``helpers.reference_flat_frame``), and the flat tolerance that
+``check_metrizability`` hands to ``parallel_frame_flat``."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from metriconn.connection import (
+    DEFAULT_TOLERANCES,
+    ConnectionMatrix,
+    NotFlat,
+    parallel_frame_flat,
+)
+from metriconn.expr import Const, X
+from metriconn.forms import Chart, OneForm
+from metriconn.gallery import torus_example
+from metriconn.metrizability import Verdict, check_metrizability
+from metriconn.specfile import load_spec
+
+from helpers import (
+    commuting_flat_connection,
+    reference_flat_frame,
+    scrambled_flat_connection,
+    torus_chart,
+    zero_form,
+)
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def _cases():
+    yield "gallery torus", torus_example(), None
+    yield "specs/torus.conn", load_spec(SPECS / "torus.conn").connection, None
+    yield "gauge scramble", scrambled_flat_connection(torus_chart()), None
+    yield ("gauge scramble off-node basepoint", scrambled_flat_connection(torus_chart()),
+           (1.3, 2.2))
+    for n in (64, 128):
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            yield (f"commuting {n}^2 seed {seed}",
+                   commuting_flat_connection(rng, torus_chart((n, n))), None)
+    yield ("commuting 64^2 off-node basepoint",
+           commuting_flat_connection(np.random.default_rng(2), torus_chart()), (0.7, 5.9))
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("name,theta,basepoint", CASES, ids=[c[0] for c in CASES])
+def test_frame_matches_reference(name, theta, basepoint):
+    values, metric, residual, defect = reference_flat_frame(theta, basepoint)
+    frame = parallel_frame_flat(theta, basepoint)
+    scale = float(np.max(np.abs(values)))
+    assert np.max(np.abs(frame.values - values)) <= 1e-13 * scale
+    # np.linalg.inv on B B^T, in the reference, rounds to about
+    # eps * cond(B B^T) * |g| (1.75e-12 relative at a node with condition
+    # 2.3e4 here); the closed form does not square the frame's condition
+    node_scale = np.max(np.abs(metric), axis=(2, 3), keepdims=True)
+    cond = np.linalg.cond(values @ np.swapaxes(values, 2, 3))[..., None, None]
+    bound = 1e-12 * np.max(np.abs(metric)) + np.finfo(float).eps * cond * node_scale
+    assert np.all(np.abs(frame.metric_samples() - metric) <= bound)
+    assert frame.loop_defect() == pytest.approx(defect, rel=1e-9)
+    # The residual is a difference of terms of size |B|/h that cancel to
+    # about 1e-7, so a last-bit change in the frame moves it by about
+    # eps * |B| / h on top of the relative bound.
+    chart = theta.chart
+    floor = np.finfo(float).eps * scale / min(chart.hx, chart.hy)
+    assert abs(frame.residual_max - residual) <= 1e-9 * residual + floor
+
+    report = check_metrizability(theta, basepoint=basepoint)
+    assert report.verdict is Verdict.FLAT
+    assert np.array_equal(report.metric_samples, frame.metric_samples())
+    assert report.frame_residual == frame.residual_max
+    assert report.loop_defect == frame.loop_defect()
+
+
+def test_zero_connection_frame_is_exactly_identity():
+    z = zero_form()
+    theta = ConnectionMatrix(((z, z), (z, z)), torus_chart())
+    frame = parallel_frame_flat(theta, (1.3, 2.2))
+    assert np.array_equal(frame.values, np.broadcast_to(np.eye(2), frame.values.shape))
+    assert np.array_equal(frame.metric_samples(), frame.values)
+    assert frame.residual_max <= 1e-13
+    assert frame.loop_defect() == 0.0
+
+
+def test_flat_gate_takes_the_callers_tolerance():
+    # curvature 5e-9 dx^dy: above the default flat tolerance, below ten times it
+    chart = Chart((-1.0, 1.0), (-1.0, 1.0), grid=(32, 32))
+    z = zero_form()
+    theta = ConnectionMatrix(((z, OneForm(Const(0.0), X * 5e-9)), (z, z)), chart)
+    with pytest.raises(NotFlat):
+        parallel_frame_flat(theta)
+    parallel_frame_flat(theta, tolerances=DEFAULT_TOLERANCES.scaled(10.0))
+    loose = check_metrizability(theta, tolerances=DEFAULT_TOLERANCES.scaled(10.0))
+    assert loose.verdict is Verdict.FLAT
+    assert check_metrizability(theta).verdict is Verdict.NOT_METRIC_EIGEN
+
+
+@pytest.mark.parametrize("basepoint", [(100.0, 100.0), (0.5, -1.5)])
+def test_basepoint_outside_the_chart_is_rejected_on_every_path(basepoint):
+    chart = Chart((-1.0, 1.0), (-1.0, 1.0), grid=(16, 16))
+    z = zero_form()
+    flat = ConnectionMatrix(((z, z), (z, z)), chart)
+    skew = ConnectionMatrix(((z, OneForm(Const(0.0), X)), (OneForm(Const(0.0), -X), z)),
+                            chart)
+    for theta in (flat, skew):
+        with pytest.raises(ValueError, match="outside the chart"):
+            check_metrizability(theta, basepoint=basepoint)
