@@ -4,9 +4,10 @@ Exit codes: 0 = metric / success, 1 = negative verdict (not metric, not
 compatible, no volume form), 2 = inconclusive or flat with a periodic
 defect, 3 = input error: a malformed spec or option, a basepoint outside
 the chart, or a spec that cannot be evaluated (a division by zero,
-coefficients that are not finite on a sweep path, an expression too deep
-to differentiate).  Reports go to standard output; diagnostics to standard
-error.  With ``--json`` the report is a single flat JSON object
+coefficients that are not finite on a sweep path, a parallel frame that
+overflows, an expression too deep to differentiate).  Reports go to the
+output stream; diagnostics, usage errors included, to the error stream.
+With ``--json`` the report is a single flat JSON object
 with dotted keys and no timestamps, so identical inputs produce
 byte-identical output.
 """
@@ -18,6 +19,7 @@ import json
 import math
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
@@ -48,10 +50,12 @@ DEFECT_THRESHOLD = 1e-6
 
 
 class _Report:
-    """Flat key/value report: dotted keys, scalar values only."""
+    """Flat key/value report: dotted keys, scalar values only.  Text mode
+    writes the lines of ``appendix`` after the report."""
 
     def __init__(self, command: str):
         self.fields: dict[str, object] = {"command": command}
+        self.appendix = ()
         self.started = time.monotonic()
 
     def put(self, key: str, value) -> None:
@@ -73,7 +77,11 @@ class _Report:
         return "\n".join(lines) + "\n"
 
     def emit(self, out, as_json: bool) -> None:
-        out.write(self.to_json() if as_json else self.to_text())
+        if as_json:
+            out.write(self.to_json())
+        else:
+            out.write(self.to_text())
+            out.writelines(self.appendix)
 
 
 def _apply_overrides(spec: SpecFile, args) -> SpecFile:
@@ -162,59 +170,67 @@ def _check_exit_code(report: MetrizabilityReport) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _run_check(spec: SpecFile, args, report: _Report) -> int:
-    theta = spec.require_connection()
-    basepoint = tuple(args.basepoint) if args.basepoint else None
+# ---------------------------------------------------------------------------
+# commands: ``run`` opens the subject (a spec file with the overrides, or a
+# gallery entry) with its report header; the body adds the rest of the
+# report and returns the exit code
+
+
+def _open_spec(args):
+    spec = _apply_overrides(load_spec(args.spec), args)
+    return spec, [("spec.digest", spec.digest), *_chart_fields(spec.chart)]
+
+
+def _open_example(args):
+    builder = GALLERY.get(args.name)
+    if builder is None:
+        raise SpecError(args.name, 0,
+                        f"unknown example; available: {', '.join(sorted(GALLERY))}")
+    entry = builder()
+    theta = entry.connection
+    if args.grid is not None:
+        chart = theta.chart.with_grid(args.grid[0], args.grid[1])
+        theta = ConnectionMatrix(theta.entries, chart)
+    return (entry, theta), [("example", entry.name), ("description", entry.description),
+                            ("spec.digest", "gallery:" + entry.name),
+                            *_chart_fields(theta.chart)]
+
+
+def _put_verdict(theta: ConnectionMatrix, args, report: _Report) -> MetrizabilityReport:
     result = check_metrizability(theta, tolerances=_tolerances(args),
-                                 basepoint=basepoint)
-    report.put_all(_chart_fields(theta.chart))
+                                 basepoint=args.basepoint)
     report.put_all(_verdict_fields(result))
+    return result
+
+
+def _check(spec: SpecFile, args, report: _Report) -> int:
+    return _check_exit_code(_put_verdict(spec.require_connection(), args, report))
+
+
+def _metric(spec: SpecFile, args, report: _Report) -> int:
+    result = _put_verdict(spec.require_connection(), args, report)
+    if result.metric_samples is not None or result.conformal_log is not None:
+        report.appendix = _metric_table(result)
     return _check_exit_code(result)
 
 
-def _cmd_check(args, out, err) -> int:
-    spec = _apply_overrides(load_spec(args.spec), args)
-    report = _Report("check")
-    report.put("spec.digest", spec.digest)
-    code = _run_check(spec, args, report)
-    report.emit(out, args.json)
-    return code
+def _metric_table(result: MetrizabilityReport):
+    """The sampled metric at every node, as text lines; a generator, so the
+    metric is sampled only when the lines are written."""
+    samples = result.metric_grid()
+    chart = result.chart
+    xs, ys = chart.xs("node"), chart.ys("node")
+    yield "# sampled metric: x y g11 g12 g22\n"
+    for i in range(chart.nx):
+        for j in range(chart.ny):
+            yield (f"{xs[i]:.9g} {ys[j]:.9g} "
+                   f"{samples[i, j, 0, 0]:.12g} {samples[i, j, 0, 1]:.12g} "
+                   f"{samples[i, j, 1, 1]:.12g}\n")
 
 
-def _cmd_metric(args, out, err) -> int:
-    spec = _apply_overrides(load_spec(args.spec), args)
-    theta = spec.require_connection()
-    basepoint = tuple(args.basepoint) if args.basepoint else None
-    result = check_metrizability(theta, tolerances=_tolerances(args),
-                                 basepoint=basepoint)
-    report = _Report("metric")
-    report.put("spec.digest", spec.digest)
-    report.put_all(_chart_fields(theta.chart))
-    report.put_all(_verdict_fields(result))
-    report.emit(out, args.json)
-    needs_dump = result.metric_samples is not None or result.conformal_log is not None
-    if not args.json and needs_dump:
-        samples = result.metric_grid()
-        chart = result.chart
-        xs, ys = chart.xs("node"), chart.ys("node")
-        out.write("# sampled metric: x y g11 g12 g22\n")
-        for i in range(chart.nx):
-            for j in range(chart.ny):
-                out.write(f"{xs[i]:.9g} {ys[j]:.9g} "
-                          f"{samples[i, j, 0, 0]:.12g} {samples[i, j, 0, 1]:.12g} "
-                          f"{samples[i, j, 1, 1]:.12g}\n")
-    return _check_exit_code(result)
-
-
-def _cmd_volume(args, out, err) -> int:
-    spec = _apply_overrides(load_spec(args.spec), args)
-    theta = spec.require_connection()
-    basepoint = tuple(args.basepoint) if args.basepoint else None
-    result = volume_criterion(theta, tolerances=_tolerances(args),
-                              basepoint=basepoint)
-    report = _Report("volume")
-    report.put("spec.digest", spec.digest)
-    report.put_all(_chart_fields(theta.chart))
+def _volume(spec: SpecFile, args, report: _Report) -> int:
+    result = volume_criterion(spec.require_connection(), tolerances=_tolerances(args),
+                              basepoint=args.basepoint)
     report.put("closed", result.closed)
     report.put("trace_curvature_max", result.trace_curvature_max)
     report.put("tolerance.closed", result.threshold)
@@ -225,37 +241,28 @@ def _cmd_volume(args, out, err) -> int:
     if result.log_f is not None:
         report.put("log_f.min", float(np.min(result.log_f)))
         report.put("log_f.max", float(np.max(result.log_f)))
-    report.emit(out, args.json)
     if not result.closed:
         return EXIT_NEGATIVE
     defect = max(abs(result.period_defects[0]), abs(result.period_defects[1]))
     return EXIT_SUCCESS if defect <= DEFECT_THRESHOLD else EXIT_INCONCLUSIVE
 
 
-def _cmd_euler(args, out, err) -> int:
-    spec = _apply_overrides(load_spec(args.spec), args)
+def _euler(spec: SpecFile, args, report: _Report) -> int:
     theta = spec.require_connection()
-    metric = spec.require_metric()
-    report = _Report("euler")
-    report.put("spec.digest", spec.digest)
-    report.put_all(_chart_fields(theta.chart))
     try:
-        result = euler_form(theta, metric, tolerances=_tolerances(args))
+        result = euler_form(theta, spec.require_metric(), tolerances=_tolerances(args))
     except NotCompatible as exc:
         report.put("error", "NotCompatible")
         report.put("error.residual", exc.residual)
         report.put("error.tolerance", exc.tolerance)
-        report.emit(out, args.json)
         return EXIT_NEGATIVE
     report.put("euler_number", result.euler_number)
     report.put("euler_form.coefficient", to_source(result.euler_form.r))
     report.put("diagnostics.skew_residual", result.skew_residual)
-    report.emit(out, args.json)
     return EXIT_SUCCESS
 
 
-def _cmd_compare(args, out, err) -> int:
-    spec = _apply_overrides(load_spec(args.spec), args)
+def _compare(spec: SpecFile, args, report: _Report) -> int:
     theta1 = spec.require_connection()
     if args.other:
         other = _apply_overrides(load_spec(args.other), args)
@@ -272,9 +279,6 @@ def _cmd_compare(args, out, err) -> int:
         metric = _apply_overrides(load_spec(args.metric), args).require_metric()
     else:
         metric = spec.require_metric()
-    report = _Report("compare")
-    report.put("spec.digest", spec.digest)
-    report.put_all(_chart_fields(theta1.chart))
     try:
         first = euler_form(theta1, metric, tolerances=_tolerances(args),
                            label="first connection")
@@ -284,13 +288,11 @@ def _cmd_compare(args, out, err) -> int:
         report.put("error", "NotCompatible")
         report.put("error.which", exc.label)
         report.put("error.residual", exc.residual)
-        report.emit(out, args.json)
         return EXIT_NEGATIVE
     report.put("euler_number.first", first.euler_number)
     report.put("euler_number.second", second.euler_number)
     report.put("euler_number.difference",
                abs(first.euler_number - second.euler_number))
-    report.emit(out, args.json)
     return EXIT_SUCCESS
 
 
@@ -302,75 +304,42 @@ def _put_connection(report: _Report, theta: ConnectionMatrix, prefix: str = "the
             report.put(f"{prefix}.{i + 1}.{j + 1}.dy", to_source(form.q))
 
 
-def _cmd_torsion(args, out, err) -> int:
-    spec = _apply_overrides(load_spec(args.spec), args)
+def _torsion(spec: SpecFile, args, report: _Report) -> int:
     theta = spec.require_connection()
     field = torsion(theta)
-    report = _Report("torsion")
-    report.put("spec.digest", spec.digest)
-    report.put_all(_chart_fields(theta.chart))
     t1 = field.component(1, 1, 2)
     t2 = field.component(2, 1, 2)
     report.put("torsion.1.12", to_source(t1))
     report.put("torsion.2.12", to_source(t2))
     report.put("torsion.sup", sup_norm([t1, t2], theta.chart))
-    report.emit(out, args.json)
     return EXIT_SUCCESS
 
 
-def _cmd_levi_civita(args, out, err) -> int:
-    spec = _apply_overrides(load_spec(args.spec), args)
+def _levi_civita(spec: SpecFile, args, report: _Report) -> int:
     metric = spec.require_metric()
-    g = RiemannianMetric2D(metric, spec.chart)
-    theta = levi_civita(g)
-    report = _Report("levi-civita")
-    report.put("spec.digest", spec.digest)
-    report.put_all(_chart_fields(spec.chart))
+    theta = levi_civita(RiemannianMetric2D(metric, spec.chart))
     _put_connection(report, theta)
     report.put("diagnostics.compat_residual",
                residual_sup(compatibility_residual(theta, metric), spec.chart))
-    report.emit(out, args.json)
     return EXIT_SUCCESS
 
 
-def _cmd_semi_symmetric(args, out, err) -> int:
-    spec = _apply_overrides(load_spec(args.spec), args)
+def _semi_symmetric(spec: SpecFile, args, report: _Report) -> int:
     metric = spec.require_metric()
     u = spec.require_oneform()
-    g = RiemannianMetric2D(metric, spec.chart)
-    theta = semi_symmetric(g, u)
-    report = _Report("semi-symmetric")
-    report.put("spec.digest", spec.digest)
-    report.put_all(_chart_fields(spec.chart))
+    theta = semi_symmetric(RiemannianMetric2D(metric, spec.chart), u)
     _put_connection(report, theta)
     field = torsion(theta)
     report.put("torsion.1.12", to_source(field.component(1, 1, 2)))
     report.put("torsion.2.12", to_source(field.component(2, 1, 2)))
     report.put("diagnostics.compat_residual",
                residual_sup(compatibility_residual(theta, metric), spec.chart))
-    report.emit(out, args.json)
     return EXIT_SUCCESS
 
 
-def _cmd_example(args, out, err) -> int:
-    builder = GALLERY.get(args.name)
-    if builder is None:
-        raise SpecError(args.name, 0,
-                        f"unknown example; available: {', '.join(sorted(GALLERY))}")
-    entry = builder()
-    theta = entry.connection
-    if args.grid is not None:
-        chart = theta.chart.with_grid(args.grid[0], args.grid[1])
-        theta = ConnectionMatrix(theta.entries, chart)
-    report = _Report("example")
-    report.put("example", entry.name)
-    report.put("description", entry.description)
-    report.put("spec.digest", "gallery:" + entry.name)
-    report.put_all(_chart_fields(theta.chart))
-    basepoint = tuple(args.basepoint) if args.basepoint else None
-    result = check_metrizability(theta, tolerances=_tolerances(args),
-                                 basepoint=basepoint)
-    report.put_all(_verdict_fields(result))
+def _example(subject, args, report: _Report) -> int:
+    entry, theta = subject
+    result = _put_verdict(theta, args, report)
     volume = volume_criterion(theta, tolerances=_tolerances(args))
     report.put("volume.closed", volume.closed)
     report.put("volume.defect.x", volume.period_defects[0])
@@ -378,7 +347,6 @@ def _cmd_example(args, out, err) -> int:
     if entry.metric is not None:
         euler = euler_form(theta, entry.metric, tolerances=_tolerances(args))
         report.put("euler_number", euler.euler_number)
-    report.emit(out, args.json)
     return _check_exit_code(result)
 
 
@@ -399,21 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Local metrizability of rank-2 connections over surface charts.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    specs = [
-        ("check", _cmd_check, "decide local metrizability of the connection"),
-        ("metric", _cmd_metric, "recover and print the compatible metric"),
-        ("volume", _cmd_volume, "test the parallel-volume-form criterion"),
-        ("euler", _cmd_euler, "Euler form and number of a metric connection"),
-        ("torsion", _cmd_torsion, "torsion of a coordinate-frame connection"),
-        ("levi-civita", _cmd_levi_civita, "Levi-Civita connection of the metric"),
-        ("semi-symmetric", _cmd_semi_symmetric,
+    for name, body, help_text in (
+        ("check", _check, "decide local metrizability of the connection"),
+        ("metric", _metric, "recover and print the compatible metric"),
+        ("volume", _volume, "test the parallel-volume-form criterion"),
+        ("euler", _euler, "Euler form and number of a metric connection"),
+        ("torsion", _torsion, "torsion of a coordinate-frame connection"),
+        ("levi-civita", _levi_civita, "Levi-Civita connection of the metric"),
+        ("semi-symmetric", _semi_symmetric,
          "metric connection with torsion built from a one-form"),
-    ]
-    for name, handler, help_text in specs:
+    ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("spec", help="spec file")
         _add_common(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(open=_open_spec, body=body)
 
     p = sub.add_parser("compare",
                        help="compare Euler numbers of two metric-equivalent connections")
@@ -425,12 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spec file providing the shared metric "
                         "(default: [metric] of the first file)")
     _add_common(p)
-    p.set_defaults(handler=_cmd_compare)
+    p.set_defaults(open=_open_spec, body=_compare)
 
     p = sub.add_parser("example", help="run a named gallery example")
     p.add_argument("name", help=f"one of: {', '.join(sorted(GALLERY))}")
     _add_common(p)
-    p.set_defaults(handler=_cmd_example)
+    p.set_defaults(open=_open_example, body=_example)
     return parser
 
 
@@ -439,11 +406,17 @@ def run(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code else EXIT_SUCCESS
     try:
-        return args.handler(args, out, err)
+        subject, header = args.open(args)
+        report = _Report(args.command)
+        report.put_all(header)
+        code = args.body(subject, args, report)
+        report.emit(out, args.json)
+        return code
     except (SpecError, ParseError, NotSPD, DomainError, SingularFrame, NotFlat,
             ValueError, ArithmeticError, RecursionError) as exc:
         err.write(f"error: {exc}\n")

@@ -197,10 +197,7 @@ class MetricField:
         a, b, c = evaluate_grid_many([g11, g12, g22], chart)
         det = a * c - b * b
         bad = (a <= 0.0) | (det <= 0.0)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            return (float(chart.xs()[i]), float(chart.ys()[j]))
-        return None
+        return chart.first_point(bad) if bad.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +281,7 @@ def _check_nonsingular(frame: FrameChange) -> None:
     scale = float(np.max(np.abs(det)))
     bad = np.abs(det) <= 1e-12 * (1.0 + scale)
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        point = (float(chart.xs()[i]), float(chart.ys()[j]))
-        raise SingularFrame(point, float(det[i, j]))
+        raise SingularFrame(chart.first_point(bad), float(det[bad][0]))
 
 
 def gauge_transform(theta: ConnectionMatrix, frame) -> "ConnectionMatrix | GridConnection":
@@ -524,6 +519,19 @@ def _sweep(theta: ConnectionMatrix, basepoint, x_first: bool = True) -> np.ndarr
     return grid if x_first else grid.swapaxes(2, 3)
 
 
+def _curvature_peak(omega: CurvatureMatrix, theta_sup: float, tolerances: Tolerances):
+    """Sample the curvature ``omega`` of a connection ``theta`` for the flat
+    test.
+
+    Returns the curvature coefficients on the grid (row-major), their
+    pointwise peak ``max_ij |Omega_ij|`` and the flat threshold
+    ``tolerances.flat * (1 + sup|theta|)``, given ``theta_sup = sup|theta|``.
+    """
+    arrays = evaluate_grid_many([f.r for row in omega.entries for f in row], omega.chart)
+    peak = np.maximum.reduce([np.abs(arr) for arr in arrays])
+    return arrays, peak, tolerances.flat * (1.0 + theta_sup)
+
+
 def parallel_frame_flat(theta: ConnectionMatrix, basepoint=None, *,
                         tolerances: Tolerances = DEFAULT_TOLERANCES) -> ParallelFrame:
     """Construct a parallel frame for a flat rank-2 connection by RK4
@@ -535,25 +543,32 @@ def parallel_frame_flat(theta: ConnectionMatrix, basepoint=None, *,
     :class:`NotFlat` otherwise.  The returned frame satisfies
     ``B(basepoint) = I`` and ``dB = -theta B`` up to the reported node
     residual; on periodic charts the loop transports around the generators
-    are recorded as well.
+    are recorded as well.  A frame or residual that is not finite (the
+    transport overflowed on this grid) raises ArithmeticError.
     """
     if theta.m != 2:
         raise ValueError("parallel frames are implemented for rank-2 bundles")
     chart = theta.chart
-    xb, yb = chart.point(basepoint)
+    basepoint = chart.point(basepoint)
+    _, peak, threshold = _curvature_peak(curvature(theta), theta.sup(), tolerances)
+    curved = peak > threshold
+    if curved.any():
+        raise NotFlat(chart.first_point(curved), float(peak[curved][0]), threshold)
+    return _parallel_frame(theta, basepoint)
 
-    omega = curvature(theta)
-    threshold = tolerances.flat * (1.0 + theta.sup())
-    mags = [np.abs(arr) for arr in evaluate_grid_many(
-        [f.r for row in omega.entries for f in row], chart)]
-    peak = np.maximum.reduce(mags)
-    if float(np.max(peak)) > threshold:
-        i, j = np.argwhere(peak > threshold)[0]
-        point = (float(chart.xs()[i]), float(chart.ys()[j]))
-        raise NotFlat(point, float(peak[i, j]), threshold)
 
-    values = np.ascontiguousarray(np.moveaxis(_sweep(theta, (xb, yb)), (0, 1), (2, 3)))
-    residual = max(float(np.max(np.abs(res))) for res in _frame_residuals(theta, values))
+def _parallel_frame(theta: ConnectionMatrix, basepoint) -> ParallelFrame:
+    """The parallel frame of :func:`parallel_frame_flat`, for a rank-2
+    connection already known to be flat and a basepoint in the chart."""
+    chart = theta.chart
+    xb, yb = basepoint
+    with np.errstate(over="ignore", invalid="ignore"):   # reported just below
+        values = np.ascontiguousarray(np.moveaxis(_sweep(theta, basepoint), (0, 1), (2, 3)))
+        residuals = _frame_residuals(theta, values)
+    if not all(np.all(np.isfinite(arr)) for arr in (values, *residuals)):
+        raise ArithmeticError("the parallel frame is not finite on the grid: "
+                              "RK4 transport overflowed")
+    residual = max(float(np.max(np.abs(res))) for res in residuals)
 
     eye = np.eye(2)[:, :, None]
     loop_x = loop_y = None
@@ -564,7 +579,7 @@ def parallel_frame_flat(theta: ConnectionMatrix, basepoint=None, *,
         loop_y = _transport(theta.q_matrix(), False, yb, chart.hy, chart.ny,
                             [xb], eye)[-1, ..., 0]
 
-    return ParallelFrame(chart, (xb, yb), values, residual, loop_x, loop_y)
+    return ParallelFrame(chart, basepoint, values, residual, loop_x, loop_y)
 
 
 def _frame_residuals(theta: ConnectionMatrix, values: np.ndarray) -> list:

@@ -46,7 +46,7 @@ __all__ = [
     "ParseError", "DomainError",
     "parse", "evaluate", "differentiate", "to_source",
     "ValueNumbering", "eval_grid_many",
-    "const", "var", "sin", "cos", "tan", "exp", "ln", "sqrt", "sinh", "cosh",
+    "sin", "cos", "tan", "exp", "ln", "sqrt", "sinh", "cosh",
     "X", "Y", "ZERO", "ONE",
 ]
 
@@ -509,14 +509,6 @@ def _call(name: str, arg: Expr) -> Expr:
 
 
 # public constructor helpers
-
-def const(value) -> Expr:
-    return Const(float(value))
-
-
-def var(name: str) -> Expr:
-    return X if name == "x" else Var(name)
-
 
 def sin(e) -> Expr:
     return _call("sin", _wrap(e))

@@ -114,6 +114,13 @@ class Chart:
             raise ValueError(f"basepoint {(x, y)} lies outside the chart")
         return (x, y)
 
+    def first_point(self, mask: np.ndarray) -> tuple[float, float]:
+        """The sample point of the first ``True`` entry, in row-major
+        order, of a mask over the midpoint lattice; the value there is
+        ``values[mask][0]``."""
+        i, j = np.argwhere(mask)[0]
+        return (float(self.xs()[i]), float(self.ys()[j]))
+
     def with_grid(self, nx: int, ny: int) -> "Chart":
         return Chart(self.x_range, self.y_range, self.periodic_x, self.periodic_y, (nx, ny))
 

@@ -46,10 +46,11 @@ from .connection import (
     FrameChange,
     MetricField,
     Tolerances,
+    _curvature_peak,
+    _parallel_frame,
     compatibility_residual,
     curvature,
     gauge_transform,
-    parallel_frame_flat,
     residual_sup,
     trace_connection,
 )
@@ -184,11 +185,6 @@ class MetrizabilityReport:
         return stacked
 
 
-def _first_point(chart: Chart, mask: np.ndarray) -> tuple[float, float]:
-    i, j = np.argwhere(mask)[0]
-    return (float(chart.xs()[i]), float(chart.ys()[j]))
-
-
 # ---------------------------------------------------------------------------
 # pipeline stages
 
@@ -205,9 +201,7 @@ def factor_curvature(omega: CurvatureMatrix, volume: TwoForm) -> CurvatureCoeffi
     vol_scale = float(np.max(np.abs(vol)))
     degenerate = np.abs(vol) <= 1e-12 * (1.0 + vol_scale)
     if degenerate.any():
-        point = _first_point(chart, degenerate)
-        i, j = np.argwhere(degenerate)[0]
-        raise DegenerateVolume(point, float(vol[i, j]))
+        raise DegenerateVolume(chart.first_point(degenerate), float(vol[degenerate][0]))
 
     matrix = tuple(
         tuple(entry.r / volume.r for entry in row) for row in omega.entries
@@ -225,26 +219,29 @@ def factor_curvature(omega: CurvatureMatrix, volume: TwoForm) -> CurvatureCoeffi
     return CurvatureCoefficient(matrix, volume)
 
 
+def _imaginary_eigenvalues(u11, u12, u21, u22, tolerances: Tolerances):
+    """The purely-imaginary-eigenvalue test on the entries of ``U``, floats
+    and grid arrays alike.
+
+    Returns ``(ok, trace, det, scale)`` with ``scale = max |U_ij|``.  Both
+    eigenvalues of a real 2x2 matrix are purely imaginary and nonzero
+    exactly when the trace vanishes and the determinant is positive; the
+    margins are relative to ``scale``.
+    """
+    scale = np.maximum.reduce([np.abs(u11), np.abs(u12), np.abs(u21), np.abs(u22)])
+    trace = u11 + u22
+    det = u11 * u22 - u12 * u21
+    ok = ((scale > 0.0)
+          & (np.abs(trace) <= tolerances.eigen_trace * scale)
+          & (det >= tolerances.eigen_det * scale * scale))
+    return ok, trace, det, scale
+
+
 def imaginary_eigenvalue_test(u, tolerances: Tolerances = DEFAULT_TOLERANCES) -> EigenTest:
     """Test whether a real 2x2 matrix has purely imaginary nonzero
     eigenvalues, with scale-relative margins."""
     m = np.asarray(u, dtype=float)
-    scale = float(np.max(np.abs(m)))
-    trace = float(m[0, 0] + m[1, 1])
-    det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    ok = (scale > 0.0
-          and abs(trace) <= tolerances.eigen_trace * scale
-          and det >= tolerances.eigen_det * scale * scale)
-    return EigenTest(ok, trace, det, scale)
-
-
-def _eigen_arrays(matrix, chart: Chart):
-    u11, u12, u21, u22 = evaluate_grid_many(
-        [matrix[0][0], matrix[0][1], matrix[1][0], matrix[1][1]], chart)
-    scale = np.maximum.reduce([np.abs(u11), np.abs(u12), np.abs(u21), np.abs(u22)])
-    trace = u11 + u22
-    det = u11 * u22 - u12 * u21
-    return trace, det, scale
+    return EigenTest(*_imaginary_eigenvalues(m[0, 0], m[0, 1], m[1, 0], m[1, 1], tolerances))
 
 
 def skew_symmetrizer(matrix, chart: Chart,
@@ -264,15 +261,18 @@ def skew_symmetrizer(matrix, chart: Chart,
     Raises :class:`EigenPreconditionFailed` if the eigenvalue test fails at
     a grid point.
     """
-    trace, det, scale = _eigen_arrays(matrix, chart)
-    bad = ~((scale > 0.0)
-            & (np.abs(trace) <= tolerances.eigen_trace * scale)
-            & (det >= tolerances.eigen_det * scale * scale))
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
+    ok, trace, det, _ = _imaginary_eigenvalues(*evaluate_grid_many(
+        [matrix[0][0], matrix[0][1], matrix[1][0], matrix[1][1]], chart), tolerances)
+    if not ok.all():
+        bad = ~ok
         raise EigenPreconditionFailed(
-            _first_point(chart, bad), float(trace[i, j]), float(det[i, j]))
+            chart.first_point(bad), float(trace[bad][0]), float(det[bad][0]))
+    return _symmetrizer(matrix)
 
+
+def _symmetrizer(matrix):
+    """The closed form of :func:`skew_symmetrizer`, for a ``U`` known to
+    pass the eigenvalue test."""
     a = (matrix[0][0] - matrix[1][1]) * Const(0.5)
     b = matrix[0][1]
     c = matrix[1][0]
@@ -296,11 +296,10 @@ def spd_sqrt(s, chart: Chart):
     det = a11 * a22 - a12 * a12
     bad = (a11 <= 0.0) | (det <= 0.0)
     if bad.any():
-        raise NotSPD(_first_point(chart, bad), "non-positive leading minor")
+        raise NotSPD(chart.first_point(bad), "non-positive leading minor")
     off = np.abs(det - 1.0) > 1e-8 * (1.0 + np.abs(det))
     if off.any():
-        i, j = np.argwhere(off)[0]
-        raise NotSPD(_first_point(chart, off), f"det = {det[i, j]:.6g} != 1")
+        raise NotSPD(chart.first_point(off), f"det = {det[off][0]:.6g} != 1")
 
     denom = expr_sqrt(s11 + s22 + Const(2.0))
     q11 = (s11 + Const(1.0)) / denom
@@ -395,7 +394,8 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
     basepoint = chart.point(basepoint)
 
     theta_sup = theta.sup()
-    flat_tol = tolerances.flat * (1.0 + theta_sup)
+    omega = curvature(theta)
+    u, peak, flat_tol = _curvature_peak(omega, theta_sup, tolerances)
     tol_echo = {
         "flat": flat_tol,
         "eigen_trace": tolerances.eigen_trace,
@@ -404,15 +404,11 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
         "compat_base": tolerances.compat,
     }
 
-    omega = curvature(theta)
-    mags = [np.abs(arr) for arr in evaluate_grid_many(
-        [f.r for row in omega.entries for f in row], chart)]
-    peak = np.maximum.reduce(mags)
     zero_mask = peak <= flat_tol
     zero_fraction = float(np.mean(zero_mask))
 
     if zero_fraction == 1.0:
-        frame = parallel_frame_flat(theta, basepoint, tolerances=tolerances)
+        frame = _parallel_frame(theta, basepoint)
         return MetrizabilityReport(
             verdict=Verdict.FLAT,
             chart=chart,
@@ -427,7 +423,7 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
         return MetrizabilityReport(
             verdict=Verdict.INCONCLUSIVE,
             chart=chart,
-            witness=_first_point(chart, zero_mask),
+            witness=chart.first_point(zero_mask),
             curvature_zero_fraction=zero_fraction,
             tolerances=tol_echo,
             notes=MetrizabilityReport.notes
@@ -435,25 +431,23 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
                "the pointwise construction does not apply there",),
         )
 
-    coeff = factor_curvature(omega, TwoForm(Const(1.0)))
-    trace, det, scale = _eigen_arrays(coeff.matrix, chart)
-    ok = ((scale > 0.0)
-          & (np.abs(trace) <= tolerances.eigen_trace * scale)
-          & (det >= tolerances.eigen_det * scale * scale))
+    # with volume form dx^dy the curvature coefficient U is the matrix of
+    # the curvature's own dx^dy coefficients, sampled above
+    ok, trace, det, _ = _imaginary_eigenvalues(*u, tolerances)
     min_det = float(np.min(det))
     max_tr = float(np.max(np.abs(trace)))
     if not ok.all():
         return MetrizabilityReport(
             verdict=Verdict.NOT_METRIC_EIGEN,
             chart=chart,
-            witness=_first_point(chart, ~ok),
+            witness=chart.first_point(~ok),
             min_det_u=min_det,
             max_abs_trace_u=max_tr,
             curvature_zero_fraction=0.0,
             tolerances=tol_echo,
         )
 
-    s = skew_symmetrizer(coeff.matrix, chart, tolerances)
+    s = _symmetrizer(tuple(tuple(f.r for f in row) for row in omega.entries))
     a = spd_sqrt(s, chart)
     frame = FrameChange(a, chart)
     theta_prime = gauge_transform(theta, frame)
@@ -480,7 +474,7 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
         return MetrizabilityReport(
             verdict=Verdict.NOT_METRIC_SKEW,
             chart=chart,
-            witness=_first_point(chart, residual_peak > skew_tol),
+            witness=chart.first_point(residual_peak > skew_tol),
             max_skew_residual=max_skew,
             min_det_u=min_det,
             max_abs_trace_u=max_tr,

@@ -300,11 +300,33 @@ def test_numerical_failures_are_input_errors(tmp_path, command, connection):
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_tolerance_scale_must_be_finite_and_positive(value, capsys):
-    code, out, _ = run_cli("check", str(SPECS / "skew.conn"), "--tol", value)
+    code, out, err = run_cli("check", str(SPECS / "skew.conn"), "--tol", value)
     assert code == 3
     assert out == ""
-    # argparse writes its usage errors to the process's stderr
-    assert "argument --tol: must be finite and > 0" in capsys.readouterr().err
+    assert "argument --tol: must be finite and > 0" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_option_errors_and_help_go_to_the_callers_streams(capsys):
+    code, out, err = run_cli("check", str(SPECS / "skew.conn"), "--frobnicate")
+    assert (code, out) == (3, "")
+    assert "unrecognized arguments: --frobnicate" in err
+    code, out, err = run_cli("check", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: metriconn check")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_overflowing_parallel_frame_is_input_error(tmp_path, capsys, recwarn):
+    # flat, but RK4 at |theta| h = 47 per step overflows: an input error,
+    # not a Flat verdict with a NaN frame residual and metric
+    spec = _spec(tmp_path, "stiff.conn", "theta.1.1.dx = 800",
+                 chart="x = 0 .. 30\ny = 0 .. 1\ngrid = 256 16\n")
+    code, out, err = run_cli("check", spec, "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the parallel frame is not finite")
+    assert capsys.readouterr() == ("", "")
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("command", ["check", "volume"])

@@ -12,6 +12,7 @@ from metriconn.connection import (
     residual_sup,
 )
 from metriconn.metrizability import (
+    DEFAULT_TOLERANCES,
     DegenerateVolume,
     EigenPreconditionFailed,
     NotSPD,
@@ -24,6 +25,7 @@ from metriconn.metrizability import (
     spd_sqrt,
     symplectic_identity_residual,
     transition_orthogonality,
+    _imaginary_eigenvalues,
 )
 
 from helpers import (
@@ -90,6 +92,28 @@ def test_imaginary_eigenvalue_margins():
     assert outcome.det == 6.0
 
 
+@pytest.mark.parametrize("u,expected", [
+    ([[1e-8, 1.0], [-1.0, 0.0]], True),      # |trace| at its tolerance
+    ([[2e-8, 1.0], [-1.0, 0.0]], False),     # |trace| past it
+    ([[0.0, 1.0], [-1e-10, 0.0]], True),     # det at its tolerance
+    ([[0.0, 1.0], [-5e-11, 0.0]], False),    # det below it
+    ([[0.0, 0.0], [0.0, 0.0]], False),       # zero matrix, scale 0
+])
+def test_eigen_predicate_agrees_on_floats_and_grids(chart, u, expected):
+    on_floats = imaginary_eigenvalue_test(u)
+    ok, trace, det, scale = _imaginary_eigenvalues(
+        *(np.full(chart.grid, v) for row in u for v in row), DEFAULT_TOLERANCES)
+    assert on_floats.ok is expected
+    assert np.all(ok == expected)
+    assert np.all(trace == on_floats.trace) and np.all(det == on_floats.det)
+    assert np.all(scale == on_floats.scale)
+    if expected:
+        skew_symmetrizer(_const_matrix(u), chart)
+    else:
+        with pytest.raises(EigenPreconditionFailed):
+            skew_symmetrizer(_const_matrix(u), chart)
+
+
 # ---------------------------------------------------------------------------
 # symmetrizer and square root
 
@@ -152,6 +176,17 @@ def test_spd_sqrt_random_draws(chart):
 def test_spd_sqrt_rejects_indefinite(chart):
     with pytest.raises(NotSPD):
         spd_sqrt(_const_matrix([[1.0, 0.0], [0.0, -1.0]]), chart)
+
+
+def test_spd_sqrt_guard_is_not_a_recheck(chart):
+    # U = [[a, b], [c, -a]] passes the eigenvalue test with det U close to
+    # its tolerance; the closed-form S then misses det S = 1, and only
+    # spd_sqrt's own check catches it
+    a, b, c = -79.98416009221647, -45.81835584694699, 139.62670239919484
+    u = [[a, b], [c, -a]]
+    assert imaginary_eigenvalue_test(u)
+    with pytest.raises(NotSPD, match="det = 1 != 1"):
+        spd_sqrt(skew_symmetrizer(_const_matrix(u), chart), chart)
 
 
 def test_recover_metric_examples(chart):
