@@ -1,16 +1,7 @@
 """Symbolic scalar expressions in the two chart variables ``x`` and ``y``.
 
-Grammar accepted by :func:`parse` (whitespace insignificant)::
-
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := base ('^' base)?
-    base   := number | 'x' | 'y' | 'pi' | 'e' | func '(' expr ')' | '(' expr ')' | '-' base
-    func   in {sin, cos, tan, exp, ln, sqrt, sinh, cosh}
-
-Numbers are decimals with an optional exponent (``1.5e-3``).  ``pi`` and
-``e`` are reserved constants.  The exponent of ``^`` must reduce to a
-constant at parse time, so every derivative stays inside the grammar.
+Expression text is read by :func:`parse`, whose docstring gives the
+grammar, and written by :func:`to_source`.
 
 Expressions are immutable trees.  Simplification is deliberately limited to
 constant folding, absorption of additive zeros and multiplicative
@@ -25,11 +16,12 @@ Grid evaluation lowers all the roots of one call to a single tape
 equal nodes one number (constants keyed by their bits, so ``-0.0`` and
 ``0.0`` stay apart), the tape runs each number once with the numpy
 operation of its node type, and every intermediate is dropped after its
-last use.  Nothing on the grid path or in :func:`to_source` recurses, so
-expression depth is bounded by memory only.  A numbering and the root
-values computed under it can be carried from one call to the next; the
-per-check root cache in :mod:`metriconn.forms` does that.  Scalar
-:meth:`Expr.eval` is the located, domain-checked path.
+last use.  Nothing on the grid path, in :func:`parse` or in
+:func:`to_source` recurses, so there expression depth is bounded by memory
+only.  A numbering and the root values computed under it can be carried
+from one call to the next; the per-check root cache in
+:mod:`metriconn.forms` does that.  Scalar :meth:`Expr.eval` is the
+located, domain-checked path.
 """
 
 from __future__ import annotations
@@ -789,9 +781,10 @@ def to_source(e: Expr) -> str:
     """Render an expression in the input grammar.
 
     Parenthesisation preserves the tree shape, so re-parsing evaluates to
-    bit-identical values.  Each distinct node is rendered once, operands
-    first and without recursion; an operand's text is dropped once every
-    node that uses it has been rendered.
+    bit-identical values.  Non-finite constants (``inf``, ``nan``) have no
+    source form: their text does not parse.  Each distinct node is rendered
+    once, operands first and without recursion; an operand's text is
+    dropped once every node that uses it has been rendered.
     """
     order = _postorder(e)
     uses: dict = {}
@@ -819,118 +812,205 @@ _TOKEN_RE = re.compile(
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
+_PAREN_RE = re.compile(r"[()]")
+
+# groups longer than this are keyed by a fingerprint, not by their text
+_SHORT_GROUP = 32
+
+# the operator-stack entry of a pending unary minus
+_NEG = ("neg",)
+
+
+def _closers(text: str) -> dict:
+    """Offset of each ``(`` of ``text`` that has a matching ``)`` -> the
+    offset of that ``)``.  Parentheses are single-character tokens, so
+    matching them needs no lexing."""
+    closers = {}
+    opened = []
+    for m in _PAREN_RE.finditer(text):
+        if m.group() == "(":
+            opened.append(m.start())
+        elif opened:
+            closers[opened.pop()] = m.start()
+    return closers
+
+
+def _group_key(text: str, start: int, end: int):
+    """Memo key of the group ``text[start:end + 1]``.  A long group is keyed
+    by its length and its two ends, so the memo grows linearly with the
+    text however deep the groups nest; a hit is confirmed in full."""
+    if end - start < _SHORT_GROUP:
+        return text[start:end + 1]
+    return (end - start, text[start:start + 16], text[end - 15:end + 1])
+
 
 class _Parser:
+    """One call of :func:`parse`: a lexer that reads one token at a time,
+    the table that shares equal subtrees, and the memo of the groups parsed
+    so far.  Nothing outlives the call."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        n = len(text)
-        while pos < n:
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(pos, "illegal character", text[pos])
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(), pos))
-            pos = m.end()
-        self.tokens.append(("end", "", n))
-        self.index = 0
-        # structurally equal subtrees of this one text become one node
-        self.shared: dict = {}
+        self.pos = 0            # where the lexer reads the next token
+        self.closers = _closers(text)
+        self.shared: dict = {}  # structural key -> the one node of that shape
+        self.groups: dict = {}  # group key -> (offset of its '(', inner node)
 
     def share(self, node: Expr) -> Expr:
         key = _shape(node, tuple(id(k) for k in _operands(node)))
         return self.shared.setdefault(key, node)
 
-    def peek(self):
-        return self.tokens[self.index]
+    def token(self) -> tuple:
+        """The next token as ``(kind, text, offset)``; kind ``end`` at the
+        end of the text."""
+        text, pos = self.text, self.pos
+        n = len(text)
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos == n:
+            self.pos = n
+            return "end", "", n
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(pos, "illegal character", text[pos])
+        self.pos = m.end()
+        return m.lastgroup, m.group(), pos
 
-    def advance(self):
-        tok = self.tokens[self.index]
-        if tok[0] != "end":
-            self.index += 1
-        return tok
+    def fail(self, offset: int, message: str, token: str = ""):
+        """Raise a syntax error, unless the text not yet lexed holds an
+        illegal character: that error comes first, as if the whole text
+        had been lexed before parsing."""
+        while self.token()[0] != "end":
+            pass
+        raise ParseError(offset, message, token)
 
-    def expect_op(self, op: str):
-        kind, text, offset = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(offset, f"expected {op!r}", text)
-        return self.advance()
+    def open_group(self, start: int, name: str | None, ops: list):
+        """At the ``(`` at ``start`` (of a call of ``name`` if given): the
+        group's node if the same text was parsed before in this call, with
+        the lexer moved past its ``)``; otherwise None, with the group
+        pushed on ``ops``."""
+        end = self.closers.get(start)
+        if end is not None:
+            hit = self.groups.get(_group_key(self.text, start, end))
+            if hit is not None:
+                first, node = hit
+                if end - start < _SHORT_GROUP or self.text.startswith(
+                        self.text[first:first + end - start + 1], start):
+                    self.pos = end + 1
+                    return node if name is None else self.share(_call(name, node))
+        ops.append(("(", start, name))
+        return None
 
-    # grammar ---------------------------------------------------------------
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def parse(self) -> Expr:
+        share = self.share
+        operands: list = []     # left operands of the pending operators
+        ops: list = []          # pending operators and open groups, innermost last
+        kind, tok, offset = self.token()
+        if kind == "end":
+            raise ParseError(offset, "empty expression")
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                node = self.share(_add(node, rhs) if text == "+" else _sub(node, rhs))
+            # a base starts at the token (kind, tok, offset)
+            node = None
+            if kind == "num":
+                node = share(Const(float(tok)))
+            elif kind == "ident":
+                if tok in ("x", "y"):
+                    node = X if tok == "x" else Y
+                elif tok in _CONSTANTS:
+                    node = share(Const(_CONSTANTS[tok]))
+                elif tok in FUNCTIONS:
+                    kind, paren, offset = self.token()
+                    if kind != "op" or paren != "(":
+                        self.fail(offset, "expected '('", paren)
+                    node = self.open_group(offset, tok, ops)
+                else:
+                    self.fail(offset, "unknown identifier", tok)
+            elif kind == "op" and tok == "-":
+                ops.append(_NEG)
+            elif kind == "op" and tok == "(":
+                node = self.open_group(offset, None, ops)
             else:
-                return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.parse_factor()
-                node = self.share(_mul(node, rhs) if text == "*" else _div(node, rhs))
-            else:
-                return node
-
-    def parse_factor(self) -> Expr:
-        base = self.parse_base()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            _, _, exp_offset = self.peek()
-            exponent = self.parse_base()
-            if not isinstance(exponent, Const):
-                raise ParseError(exp_offset, "exponent must be a constant")
-            return self.share(_pow(base, exponent.value))
-        return base
-
-    def parse_base(self) -> Expr:
-        kind, text, offset = self.advance()
-        if kind == "num":
-            return self.share(Const(float(text)))
-        if kind == "ident":
-            if text in ("x", "y"):
-                return X if text == "x" else Y
-            if text in _CONSTANTS:
-                return self.share(Const(_CONSTANTS[text]))
-            if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return self.share(_call(text, arg))
-            raise ParseError(offset, "unknown identifier", text)
-        if kind == "op":
-            if text == "-":
-                return self.share(_neg(self.parse_base()))
-            if text == "(":
-                inner = self.parse_expr()
-                self.expect_op(")")
-                return inner
-        raise ParseError(offset, "expected a number, variable, function, or '('", text)
+                self.fail(offset, "expected a number, variable, function, or '('", tok)
+            kind, tok, offset = self.token()
+            if node is None:
+                continue
+            # ``node`` is a whole base and (kind, tok, offset) the token after it
+            while True:
+                # unary minus applies to its base, before '^'
+                while ops and ops[-1] is _NEG:
+                    ops.pop()
+                    node = share(_neg(node))
+                top = ops[-1][0] if ops else None
+                if top == "^":
+                    _, exp_offset = ops.pop()
+                    if not isinstance(node, Const):
+                        self.fail(exp_offset, "exponent must be a constant")
+                    node = share(_pow(operands.pop(), node.value))
+                    top = ops[-1][0] if ops else None
+                elif kind == "op" and tok == "^":
+                    operands.append(node)
+                    kind, tok, offset = self.token()
+                    ops.append(("^", offset))
+                    break
+                # a whole factor
+                if top == "*" or top == "/":
+                    ops.pop()
+                    left = operands.pop()
+                    node = share(_mul(left, node) if top == "*" else _div(left, node))
+                    top = ops[-1][0] if ops else None
+                if kind == "op" and tok in "*/":
+                    operands.append(node)
+                    ops.append((tok,))
+                    kind, tok, offset = self.token()
+                    break
+                # a whole term
+                if top == "+" or top == "-":
+                    ops.pop()
+                    left = operands.pop()
+                    node = share(_add(left, node) if top == "+" else _sub(left, node))
+                if kind == "op" and tok in "+-":
+                    operands.append(node)
+                    ops.append((tok,))
+                    kind, tok, offset = self.token()
+                    break
+                # a whole expression: the text ends, or the innermost group does
+                if not ops:
+                    if kind != "end":
+                        self.fail(offset, "unexpected trailing input", tok)
+                    return node
+                _, start, name = ops.pop()
+                if kind != "op" or tok != ")":
+                    self.fail(offset, "expected ')'", tok)
+                self.groups.setdefault(_group_key(self.text, start, offset), (start, node))
+                if name is not None:
+                    node = share(_call(name, node))
+                kind, tok, offset = self.token()
 
 
 def parse(text: str) -> Expr:
-    """Parse expression text; raises :class:`ParseError` with an offset."""
+    """Parse expression text; raises :class:`ParseError` with an offset.
+
+    Grammar (whitespace insignificant)::
+
+        expr   := term (('+'|'-') term)*
+        term   := factor (('*'|'/') factor)*
+        factor := base ('^' base)?
+        base   := number | 'x' | 'y' | 'pi' | 'e' | func '(' expr ')' | '(' expr ')' | '-' base
+        func   in {sin, cos, tan, exp, ln, sqrt, sinh, cosh}
+
+    Numbers are decimals with an optional exponent (``1.5e-3``).  ``pi`` and
+    ``e`` are reserved constants.  ``^`` takes one exponent, which must
+    reduce to a constant at parse time, so every derivative stays inside the
+    grammar; it does not chain (``x^2^3`` is an error).  Unary minus belongs
+    to the base, so it applies before ``^``: ``-x^2`` is ``(-x)^2``.
+    Parentheses nest to any depth.
+
+    The text is lexed one token at a time and parsed with an explicit
+    operator stack, without recursion.  Structurally equal subtrees become
+    one node, and a parenthesised group (or call argument) whose exact text
+    was parsed before in the same call is not parsed again: the parser
+    takes that group's node and moves past its ``)``.
+    """
     if not isinstance(text, str):
         raise TypeError("expression source must be a string")
-    parser = _Parser(text)
-    kind, _, offset = parser.peek()
-    if kind == "end":
-        raise ParseError(offset, "empty expression")
-    node = parser.parse_expr()
-    kind, trailing, offset = parser.peek()
-    if kind != "end":
-        raise ParseError(offset, "unexpected trailing input", trailing)
-    return node
+    return _Parser(text).parse()

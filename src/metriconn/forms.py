@@ -53,6 +53,10 @@ class Chart:
         object.__setattr__(self, "x_range", (float(self.x_range[0]), float(self.x_range[1])))
         object.__setattr__(self, "y_range", (float(self.y_range[0]), float(self.y_range[1])))
         object.__setattr__(self, "grid", (int(self.grid[0]), int(self.grid[1])))
+        if not all(map(math.isfinite, self.x_range)):
+            raise ValueError(f"x_range must be finite, got {self.x_range}")
+        if not all(map(math.isfinite, self.y_range)):
+            raise ValueError(f"y_range must be finite, got {self.y_range}")
         if not self.x_range[0] < self.x_range[1]:
             raise ValueError(f"x_range must be increasing, got {self.x_range}")
         if not self.y_range[0] < self.y_range[1]:

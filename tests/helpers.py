@@ -7,6 +7,10 @@ from __future__ import annotations
 import numpy as np
 
 from metriconn.expr import Const, Expr, X, Y, cos, eval_grid_many, exp, ln, sin, sqrt
+from metriconn.expr import (
+    _CONSTANTS, _TOKEN_RE, FUNCTIONS, ParseError,
+    _add, _call, _div, _mul, _neg, _operands, _pow, _shape, _sub,
+)
 from metriconn.forms import Chart, OneForm, evaluate_grid_many, grid_derivative
 from metriconn.connection import ConnectionMatrix, FrameChange, curvature, gauge_transform
 
@@ -346,3 +350,129 @@ def reference_flat_frame(theta: ConnectionMatrix, basepoint=None):
 
     metric = np.linalg.inv(values @ np.swapaxes(values, 2, 3))
     return values, metric, residual, defect
+
+
+# ---------------------------------------------------------------------------
+# reference parser
+
+
+class _ReferenceParser:
+    """The recursive-descent parser that read expression text before the
+    stack parser, unchanged: it lexes the whole text first, then descends
+    one Python frame per grammar level and per parenthesis."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        pos = 0
+        n = len(text)
+        while pos < n:
+            if text[pos].isspace():
+                pos += 1
+                continue
+            m = _TOKEN_RE.match(text, pos)
+            if m is None:
+                raise ParseError(pos, "illegal character", text[pos])
+            kind = m.lastgroup
+            self.tokens.append((kind, m.group(), pos))
+            pos = m.end()
+        self.tokens.append(("end", "", n))
+        self.index = 0
+        # structurally equal subtrees of this one text become one node
+        self.shared: dict = {}
+
+    def share(self, node: Expr) -> Expr:
+        key = _shape(node, tuple(id(k) for k in _operands(node)))
+        return self.shared.setdefault(key, node)
+
+    def peek(self):
+        return self.tokens[self.index]
+
+    def advance(self):
+        tok = self.tokens[self.index]
+        if tok[0] != "end":
+            self.index += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, text, offset = self.peek()
+        if kind != "op" or text != op:
+            raise ParseError(offset, f"expected {op!r}", text)
+        return self.advance()
+
+    # grammar ---------------------------------------------------------------
+
+    def parse_expr(self) -> Expr:
+        node = self.parse_term()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
+                self.advance()
+                rhs = self.parse_term()
+                node = self.share(_add(node, rhs) if text == "+" else _sub(node, rhs))
+            else:
+                return node
+
+    def parse_term(self) -> Expr:
+        node = self.parse_factor()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "*/":
+                self.advance()
+                rhs = self.parse_factor()
+                node = self.share(_mul(node, rhs) if text == "*" else _div(node, rhs))
+            else:
+                return node
+
+    def parse_factor(self) -> Expr:
+        base = self.parse_base()
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "^":
+            self.advance()
+            _, _, exp_offset = self.peek()
+            exponent = self.parse_base()
+            if not isinstance(exponent, Const):
+                raise ParseError(exp_offset, "exponent must be a constant")
+            return self.share(_pow(base, exponent.value))
+        return base
+
+    def parse_base(self) -> Expr:
+        kind, text, offset = self.advance()
+        if kind == "num":
+            return self.share(Const(float(text)))
+        if kind == "ident":
+            if text in ("x", "y"):
+                return X if text == "x" else Y
+            if text in _CONSTANTS:
+                return self.share(Const(_CONSTANTS[text]))
+            if text in FUNCTIONS:
+                self.expect_op("(")
+                arg = self.parse_expr()
+                self.expect_op(")")
+                return self.share(_call(text, arg))
+            raise ParseError(offset, "unknown identifier", text)
+        if kind == "op":
+            if text == "-":
+                return self.share(_neg(self.parse_base()))
+            if text == "(":
+                inner = self.parse_expr()
+                self.expect_op(")")
+                return inner
+        raise ParseError(offset, "expected a number, variable, function, or '('", text)
+
+
+def reference_parse(text: str) -> Expr:
+    """The recursive parser that :func:`metriconn.expr.parse` replaced, kept
+    as the reference the stack parser must match: the same tree and sharing,
+    or the same :class:`ParseError` (offset, message, token)."""
+    if not isinstance(text, str):
+        raise TypeError("expression source must be a string")
+    parser = _ReferenceParser(text)
+    kind, _, offset = parser.peek()
+    if kind == "end":
+        raise ParseError(offset, "empty expression")
+    node = parser.parse_expr()
+    kind, trailing, offset = parser.peek()
+    if kind != "end":
+        raise ParseError(offset, "unexpected trailing input", trailing)
+    return node

@@ -335,3 +335,27 @@ def test_basepoint_outside_the_chart_is_input_error(command):
     assert code == 3
     assert out == ""
     assert "outside the chart" in err
+
+
+@pytest.mark.parametrize("command", ["volume", "euler", "torsion", "check"])
+@pytest.mark.parametrize("axis,bounds", [("x", "0 .. inf"), ("y", "-inf .. 0"), ("x", "nan .. 1")])
+def test_non_finite_chart_bounds_are_input_errors(tmp_path, command, axis, bounds):
+    # an infinite bound gave a closed volume form with NaN potentials, a NaN
+    # Euler number and a non-JSON 'Infinity' chart field, all with exit 0
+    ranges = {"x": "0 .. 1", "y": "0 .. 1", axis: bounds}
+    path = tmp_path / "unbounded.conn"
+    path.write_text(f"[chart]\nx = {ranges['x']}\ny = {ranges['y']}\ngrid = 16 16\n\n"
+                    "[connection]\ntheta.1.2.dy = 1\ntheta.2.1.dy = -1\n\n"
+                    "[metric]\ng.1.1 = 1\ng.2.2 = 1\n", encoding="utf-8")
+    code, out, err = run_cli(command, str(path), "--json")
+    assert (code, out) == (3, "")
+    assert f"{axis}_range must be finite" in err
+
+
+def test_deeply_parenthesised_coefficient(tmp_path):
+    # 300 nested parentheses overflowed the recursive parser's stack
+    deep = "(" * 300 + "x" + ")" * 300
+    spec = _spec(tmp_path, "deep.conn", f"theta.1.2.dy = {deep}\ntheta.2.1.dy = -x",
+                 chart="x = 0 .. 1\ny = 0 .. 1\ngrid = 16 16\n")
+    code, fields, err = run_json("check", spec)
+    assert (code, fields["verdict"], err) == (0, "Metric", "")

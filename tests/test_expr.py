@@ -3,6 +3,11 @@ import math
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import assume, given, settings, strategies as st
+except ImportError:
+    given = None
+
 from metriconn.expr import (
     Call,
     Const,
@@ -12,11 +17,19 @@ from metriconn.expr import (
     Var,
     X,
     Y,
+    _postorder,
+    cos,
+    cosh,
     differentiate,
+    eval_grid_many,
     evaluate,
     exp,
+    ln,
     parse,
     sin,
+    sinh,
+    sqrt,
+    tan,
     to_source,
 )
 
@@ -189,6 +202,53 @@ def test_print_parse_round_trip():
         back = parse(text)
         for x, y in random_points(rng, 6):
             assert evaluate(back, x, y) == evaluate(e, x, y), text
+
+
+def smart_expressions():
+    """Expressions built with the smart constructors (so folded, absorbed
+    and with double negation removed) from x, y and finite constants."""
+    leaves = st.one_of(
+        st.sampled_from([X, Y]),
+        st.floats(-1e6, 1e6, allow_nan=False).map(Const),
+    )
+    unary = [sin, cos, tan, exp, ln, sqrt, sinh, cosh, lambda e: -e]
+    binary = [lambda a, b: a + b, lambda a, b: a - b,
+              lambda a, b: a * b, lambda a, b: a / b]
+    exponents = st.sampled_from([-3.0, -2.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(st.sampled_from(unary), inner).map(lambda t: t[0](t[1])),
+            st.tuples(st.sampled_from(binary), inner, inner).map(lambda t: t[0](t[1], t[2])),
+            st.tuples(inner, exponents).map(lambda t: t[0] ** t[1]),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=24)
+
+
+@pytest.mark.skipif(given is None, reason="needs Hypothesis")
+def test_print_parse_round_trip_property():
+    xs, ys = np.meshgrid([-2.5, -1.0, -0.3, 0.0, 0.7, 1.9], [-1.7, 0.0, 0.4, 2.2])
+
+    def samples(e):
+        # the bits of every sample, each expression on a tape of its own; a
+        # constant subtree such as 1/0 raises as Python float arithmetic
+        try:
+            with np.errstate(all="ignore"):
+                [value] = eval_grid_many([e], xs, ys)
+        except ArithmeticError as err:
+            return repr(err)
+        return np.broadcast_to(np.asarray(value, dtype=float), xs.shape).view(np.uint64).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(smart_expressions())
+    def check(e):
+        # folding can overflow a constant; inf and nan have no source form
+        assume(all(math.isfinite(n.value) for n in _postorder(e) if isinstance(n, Const)))
+        text = to_source(e)
+        assert samples(parse(text)) == samples(e), text
+
+    check()
 
 
 def test_expressions_are_pure():

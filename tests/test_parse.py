@@ -1,0 +1,228 @@
+"""The stack parser against the recursive reference parser, on every input
+they are given: the same tree with the same sharing, or the same error.
+Also the parser's depth, time and memory on deeply nested text."""
+
+from __future__ import annotations
+
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:
+    given = None
+
+from metriconn.connection import compatibility_residual
+from metriconn.expr import (
+    Call,
+    ParseError,
+    ValueNumbering,
+    X,
+    _postorder,
+    eval_grid_many,
+    parse,
+    to_source,
+)
+from metriconn.gallery import GALLERY
+
+from helpers import reference_parse, scrambled_instance, torus_chart
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC_FILES = sorted((ROOT / "specs").glob("*.conn")) + sorted((ROOT / "tests" / "data").glob("*.conn"))
+
+MALFORMED = [
+    "", "  ", "x +", "x y", "(x", "x)", "()", "sin x", "sin(", "1.5.5",
+    "x^2^3", "(x^2^3)", "x^-y", "x^(0/0)", "foo(x)", "x # y", "x$",
+]
+
+
+def outcome(parser, text: str):
+    """What ``parser`` makes of ``text``: the error's (offset, message,
+    token), or the tree's source, the value numbers of its distinct nodes in
+    post-order, and their count."""
+    try:
+        e = parser(text)
+    except ParseError as err:
+        return ("error", err.offset, err.message, err.token)
+    nodes = _postorder(e)
+    return ("tree", to_source(e), ValueNumbering().number(nodes), len(nodes))
+
+
+def assert_same_as_reference(text: str):
+    assert outcome(parse, text) == outcome(reference_parse, text), text[:120]
+
+
+def spec_coefficients(path: Path) -> list[str]:
+    """The expression texts of a spec file: every value outside [chart]."""
+    texts, section = [], ""
+    for raw in path.read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line
+        elif "=" in line and section != "[chart]":
+            texts.append(line.split("=", 1)[1].strip())
+    return texts
+
+
+def connection_sources(theta) -> list[str]:
+    return [to_source(e) for row in theta.entries for form in row for e in (form.p, form.q)]
+
+
+# ---------------------------------------------------------------------------
+# differential: the same tree or the same error
+
+
+@pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: p.name)
+def test_spec_coefficients_parse_as_the_reference_does(path):
+    texts = spec_coefficients(path)
+    assert texts
+    for text in texts:
+        assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_gallery_sources_parse_as_the_reference_does(name):
+    entry = GALLERY[name]()
+    texts = connection_sources(entry.connection)
+    if entry.metric is not None:
+        texts += [to_source(e) for row in entry.metric.entries for e in row]
+        texts += [to_source(f) for row in compatibility_residual(entry.connection, entry.metric)
+                  for form in row for f in (form.p, form.q)]
+    for text in texts:
+        assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize("seed", [5, 29])
+def test_scrambled_sources_parse_as_the_reference_does(seed):
+    # gauge scrambles repeat the same groups many times over: the memo's case
+    _, _, theta = scrambled_instance(np.random.default_rng(seed), torus_chart((16, 16)))
+    texts = connection_sources(theta)
+    assert max(map(len, texts)) > 10_000
+    for text in texts:
+        assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_text_fails_as_the_reference_does(text):
+    assert outcome(parse, text)[0] == "error"
+    assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "-x^2", "--x", "x^-2", "2*-3^2", "1 - -x", "x/-0.0 + x/0.0", "((x))^2*3-4/5+-y",
+    "sin(sin(x)) + sin(sin(x))", "(x+1)*(x+1) - (x+1)", "sin(x+1) + (x+1)", "(x+1)^2 + (x+1",
+    # an illegal character after a syntax error is reported first
+    "(x+1) + (x+1 $", "x^y $", "x^(0/0) #",
+    # groups over the fingerprint length: a hit, a same-fingerprint miss, an error in the copy
+    "(x + x + x + x + x + 1 + x + x + x + x + x)*(x + x + x + x + x + 1 + x + x + x + x + x)",
+    "(x + x + x + x + x + 1 + x + x + x + x + x)*(x + x + x + x + x + 2 + x + x + x + x + x)",
+    "(x + x + x + x + x + 1 + x + x + x + x + x)*(x + x + x + x + x + $ + x + x + x + x + x)",
+])
+def test_group_reuse_and_precedence_match_the_reference(text):
+    assert_same_as_reference(text)
+
+
+def test_unary_minus_binds_before_power():
+    [value] = eval_grid_many([parse("-x^2")], 3.0, 0.0)
+    assert value == 9.0
+
+
+def test_reused_group_is_the_same_node():
+    e = parse("sin(x*y + 1) * (x*y + 1) - (x*y + 1)")
+    assert e.right is e.left.right is e.left.left.arg
+
+
+# with a tab and a no-break space (whitespace to both lexers) and an
+# Arabic-Indic three (a digit to their number pattern)
+VOCABULARY = ["x", "y", "pi", "e", "0", "1", "2.5", "1e3", ".5", "sin", "ln", "sqrt",
+              "foo", "(", ")", "(", ")", "+", "-", "*", "/", "^", " ", "\t", "\u00a0",
+              "\u0663", "$"]
+
+
+def soups():
+    return st.lists(st.sampled_from(VOCABULARY), max_size=30).map("".join)
+
+
+@pytest.mark.skipif(given is None, reason="needs Hypothesis")
+def test_token_soups_parse_as_the_reference_does():
+    @settings(max_examples=400, deadline=None)
+    @given(soups())
+    def check(text):
+        assert_same_as_reference(text)
+
+    check()
+
+
+@pytest.mark.skipif(given is None, reason="needs Hypothesis")
+def test_repeated_groups_in_soups_parse_as_the_reference_does():
+    @settings(max_examples=200, deadline=None)
+    @given(soups(), soups())
+    def check(a, b):
+        assert_same_as_reference(f"({a})*sin({a}) + ({b}) - ({a})^2 + ln(({b}))")
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# depth, time and memory
+
+
+def call_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+N = 10_000
+DEEP = {
+    "parentheses": "(" * N + "x" + ")" * N,
+    "calls": "sin(" * N + "x" + ")" * N,
+    "minus signs": "-" * N + "x",
+    "distinct groups": "(" * N + "x" + "+1)" * N,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_text_parses_without_recursion(name):
+    # a few dozen frames above the caller: any recursion in parse would fail
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(call_depth() + 40)
+    try:
+        e = parse(DEEP[name])
+        with pytest.raises(ParseError) as excinfo:
+            parse("(" * N + "x")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (excinfo.value.offset, excinfo.value.message) == (N + 1, "expected ')'")
+    if name == "parentheses" or name == "minus signs":
+        assert e is X
+    elif name == "calls":
+        for _ in range(N):
+            assert isinstance(e, Call) and e.name == "sin"
+            e = e.arg
+        assert e is X
+    else:
+        [value] = eval_grid_many([e], 0.0, 0.0)
+        assert value == N
+
+
+def test_memo_grows_linearly_with_the_text():
+    # every group distinct: a memo keyed by whole group texts would hold
+    # about N^2 characters here
+    text = DEEP["distinct groups"]
+    start = time.perf_counter()
+    parse(text)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
