@@ -12,15 +12,12 @@ from .expr import (
     DomainError,
     Expr,
     ParseError,
-    differentiate,
-    evaluate,
     parse,
     to_source,
 )
 from .forms import (
     Chart,
     OneForm,
-    ScalarField,
     TwoForm,
     d0,
     d1,

@@ -5,8 +5,8 @@ compatible, no volume form), 2 = inconclusive or flat with a periodic
 defect, 3 = input error: a malformed spec or option, a basepoint outside
 the chart, or a spec that cannot be evaluated (a division by zero,
 coefficients that are not finite on a sweep path, a parallel frame that
-overflows, an expression too deep to differentiate).  Reports go to the
-output stream; diagnostics, usage errors included, to the error stream.
+overflows).  Reports go to the output stream; diagnostics, usage errors
+included, to the error stream.
 With ``--json`` the report is a single flat JSON object
 with dotted keys and no timestamps, so identical inputs produce
 byte-identical output.

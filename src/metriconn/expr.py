@@ -6,22 +6,25 @@ grammar, and written by :func:`to_source`.
 Expressions are immutable trees.  Simplification is deliberately limited to
 constant folding, absorption of additive zeros and multiplicative
 zeros/ones, and removal of double negation; the folded tree evaluates to the
-same value as the unfolded one wherever both are defined.  Derivatives are
-cached per node, so repeated differentiation builds a shared DAG rather
-than an exponentially growing tree.  :func:`parse` shares structurally
-equal subtrees of one text, so a repeated subexpression is one node.
+same value as the unfolded one wherever both are defined, and constants
+fold only to finite ones.  Derivatives are cached per node, so repeated
+differentiation builds a shared DAG rather than an exponentially growing
+tree.  No derivative of an inner node refers to that node (the derivative
+of ``exp(u)`` holds a fresh ``exp(u)``), so the caches make no reference
+cycles.  :func:`parse` shares structurally equal subtrees of one text.
 
 Grid evaluation lowers all the roots of one call to a single tape
 (:func:`eval_grid_many`): a :class:`ValueNumbering` gives structurally
 equal nodes one number (constants keyed by their bits, so ``-0.0`` and
 ``0.0`` stay apart), the tape runs each number once with the numpy
 operation of its node type, and every intermediate is dropped after its
-last use.  Nothing on the grid path, in :func:`parse` or in
-:func:`to_source` recurses, so there expression depth is bounded by memory
-only.  A numbering and the root values computed under it can be carried
+last use.  A numbering and the root values computed under it can be carried
 from one call to the next; the per-check root cache in
 :mod:`metriconn.forms` does that.  Scalar :meth:`Expr.eval` is the
 located, domain-checked path.
+
+Nothing in this module recurses: every walk over the nodes keeps an
+explicit stack, so expression depth is bounded by memory only.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ParseError", "DomainError",
-    "parse", "evaluate", "differentiate", "to_source",
+    "parse", "to_source",
     "ValueNumbering", "eval_grid_many",
     "sin", "cos", "tan", "exp", "ln", "sqrt", "sinh", "cosh",
     "X", "Y", "ZERO", "ONE",
@@ -85,8 +88,39 @@ class Expr:
     # evaluation -----------------------------------------------------------
 
     def eval(self, x: float, y: float) -> float:
-        """Evaluate at a point; raises :class:`DomainError` out of domain."""
-        raise NotImplementedError
+        """Evaluate at a point; raises :class:`DomainError` out of domain.
+
+        One walk, operands first, with the rule of :func:`_scalar` at each
+        node.  Operands are read left to right, but a quotient tests its
+        divisor for zero before it reads its dividend.  A node whose value
+        is not finite while its operands are is an overflow.
+        """
+        values: dict = {}       # id(node) -> value
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if id(node) in values:
+                stack.pop()
+                continue
+            if node.__class__ is Div:
+                den = values.get(id(node.right))
+                if den is None:
+                    stack.append(node.right)
+                    continue
+                if den == 0.0:
+                    raise DomainError(x, y, node, "division by zero")
+            kids = _operands(node)
+            pending = [k for k in kids if id(k) not in values]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            stack.pop()
+            args = [values[id(k)] for k in kids]
+            value = _scalar(node, args, x, y)
+            if args and not math.isfinite(value) and all(map(math.isfinite, args)):
+                raise DomainError(x, y, node, "overflow")
+            values[id(node)] = value
+        return values[id(self)]
 
     def eval_grid(self, xs, ys, memo=None):
         """Vectorised evaluation on numpy arrays, without domain checks.
@@ -112,22 +146,32 @@ class Expr:
     # differentiation ------------------------------------------------------
 
     def diff(self, variable: str) -> "Expr":
-        """Exact derivative with respect to ``'x'`` or ``'y'``."""
+        """Exact derivative with respect to ``'x'`` or ``'y'``.
+
+        Fills the empty derivative slots below, operands first, with the
+        rule of :func:`_derivative`; a walk stops at a filled slot.
+        """
         if variable not in ("x", "y"):
             raise ValueError(f"unknown variable {variable!r}")
-        try:
-            cache = self._dcache
-        except AttributeError:
-            cache = {}
-            self._dcache = cache
-        hit = cache.get(variable)
-        if hit is None:
-            hit = self._diff(variable)
-            cache[variable] = hit
-        return hit
-
-    def _diff(self, variable: str) -> "Expr":
-        raise NotImplementedError
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            top = len(stack)
+            ds = []
+            for k in _operands(node):
+                d = getattr(k, "_dcache", _EMPTY).get(variable)
+                if d is None:
+                    stack.append(k)
+                ds.append(d)
+            if len(stack) > top:
+                continue
+            stack.pop()
+            cache = getattr(node, "_dcache", None)
+            if cache is None:
+                node._dcache = {variable: _derivative(node, ds)}
+            elif variable not in cache:
+                cache[variable] = _derivative(node, ds)
+        return self._dcache[variable]
 
     # operator sugar -------------------------------------------------------
 
@@ -174,12 +218,6 @@ class Const(Expr):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def eval(self, x, y):
-        return self.value
-
-    def _diff(self, variable):
-        return ZERO
-
 
 class Var(Expr):
     __slots__ = ("name",)
@@ -188,12 +226,7 @@ class Var(Expr):
         if name not in ("x", "y"):
             raise ValueError(f"variable must be 'x' or 'y', got {name!r}")
         self.name = name
-
-    def eval(self, x, y):
-        return x if self.name == "x" else y
-
-    def _diff(self, variable):
-        return ONE if variable == self.name else ZERO
+        self._dcache = {"x": ZERO, "y": ZERO, name: ONE}
 
 
 class Neg(Expr):
@@ -202,80 +235,29 @@ class Neg(Expr):
     def __init__(self, arg: Expr):
         self.arg = arg
 
-    def eval(self, x, y):
-        return -self.arg.eval(x, y)
 
-    def _diff(self, variable):
-        return _neg(self.arg.diff(variable))
-
-
-class Add(Expr):
+class _Binary(Expr):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
 
-    def eval(self, x, y):
-        return self.left.eval(x, y) + self.right.eval(x, y)
 
-    def _diff(self, variable):
-        return _add(self.left.diff(variable), self.right.diff(variable))
+class Add(_Binary):
+    __slots__ = ()
 
 
-class Sub(Expr):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
-
-    def eval(self, x, y):
-        return self.left.eval(x, y) - self.right.eval(x, y)
-
-    def _diff(self, variable):
-        return _sub(self.left.diff(variable), self.right.diff(variable))
+class Sub(_Binary):
+    __slots__ = ()
 
 
-class Mul(Expr):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
-
-    def eval(self, x, y):
-        return self.left.eval(x, y) * self.right.eval(x, y)
-
-    def _diff(self, variable):
-        return _add(
-            _mul(self.left.diff(variable), self.right),
-            _mul(self.left, self.right.diff(variable)),
-        )
+class Mul(_Binary):
+    __slots__ = ()
 
 
-class Div(Expr):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
-
-    def eval(self, x, y):
-        den = self.right.eval(x, y)
-        if den == 0.0:
-            raise DomainError(x, y, self, "division by zero")
-        return self.left.eval(x, y) / den
-
-    def _diff(self, variable):
-        # (l/r)' = l'/r - l*r'/r^2, assembled to share the quotient node
-        return _div(
-            _sub(
-                _mul(self.left.diff(variable), self.right),
-                _mul(self.left, self.right.diff(variable)),
-            ),
-            _mul(self.right, self.right),
-        )
+class Div(_Binary):
+    __slots__ = ()
 
 
 class Pow(Expr):
@@ -296,29 +278,6 @@ class Pow(Expr):
             else None
         )
 
-    def eval(self, x, y):
-        b = self.base.eval(x, y)
-        n = self._int_exponent
-        if n is not None:
-            if b == 0.0 and n < 0:
-                raise DomainError(x, y, self, "zero base with negative exponent")
-            try:
-                return b ** n
-            except OverflowError:
-                raise DomainError(x, y, self, "overflow") from None
-        if b <= 0.0:
-            raise DomainError(x, y, self, "non-positive base with non-integer exponent")
-        try:
-            return math.pow(b, self.exponent)
-        except OverflowError:
-            raise DomainError(x, y, self, "overflow") from None
-
-    def _diff(self, variable):
-        return _mul(
-            _mul(Const(self.exponent), _pow(self.base, self.exponent - 1.0)),
-            self.base.diff(variable),
-        )
-
 
 class Call(Expr):
     __slots__ = ("name", "arg")
@@ -328,39 +287,6 @@ class Call(Expr):
             raise ValueError(f"unknown function {name!r}")
         self.name = name
         self.arg = arg
-
-    def eval(self, x, y):
-        v = self.arg.eval(x, y)
-        name = self.name
-        if name == "ln" and v <= 0.0:
-            raise DomainError(x, y, self, "ln of a non-positive value")
-        if name == "sqrt" and v < 0.0:
-            raise DomainError(x, y, self, "sqrt of a negative value")
-        try:
-            return _SCALAR_FUNCS[name](v)
-        except OverflowError:
-            raise DomainError(x, y, self, "overflow") from None
-
-    def _diff(self, variable):
-        u = self.arg
-        du = u.diff(variable)
-        name = self.name
-        if name == "sin":
-            return _mul(Call("cos", u), du)
-        if name == "cos":
-            return _neg(_mul(Call("sin", u), du))
-        if name == "tan":
-            return _div(du, _pow(Call("cos", u), 2.0))
-        if name == "exp":
-            return _mul(self, du)
-        if name == "ln":
-            return _div(du, u)
-        if name == "sqrt":
-            return _div(du, _mul(Const(2.0), self))
-        if name == "sinh":
-            return _mul(Call("cosh", u), du)
-        # cosh
-        return _mul(Call("sinh", u), du)
 
 
 def _operands(e: Expr) -> tuple:
@@ -372,6 +298,84 @@ def _operands(e: Expr) -> tuple:
     if cls is Const or cls is Var:
         return ()
     return (e.left, e.right)
+
+
+def _scalar(node: Expr, args: list, x: float, y: float) -> float:
+    """Value of one node at ``(x, y)`` from the values ``args`` of its
+    operands; raises :class:`DomainError` outside the node's domain.
+    :meth:`Expr.eval` tests a divisor for zero."""
+    cls = node.__class__
+    if cls is Const:
+        return node.value
+    if cls is Var:
+        return x if node.name == "x" else y
+    if cls is Neg:
+        return -args[0]
+    if cls is Pow:
+        b = args[0]
+        n = node._int_exponent
+        if n is not None:
+            if b == 0.0 and n < 0:
+                raise DomainError(x, y, node, "zero base with negative exponent")
+            try:
+                return b ** n
+            except OverflowError:
+                raise DomainError(x, y, node, "overflow") from None
+        if b <= 0.0:
+            raise DomainError(x, y, node, "non-positive base with non-integer exponent")
+        try:
+            return math.pow(b, node.exponent)
+        except OverflowError:
+            raise DomainError(x, y, node, "overflow") from None
+    if cls is Call:
+        v = args[0]
+        name = node.name
+        if name == "ln" and v <= 0.0:
+            raise DomainError(x, y, node, "ln of a non-positive value")
+        if name == "sqrt" and v < 0.0:
+            raise DomainError(x, y, node, "sqrt of a negative value")
+        try:
+            return _SCALAR_FUNCS[name](v)
+        except OverflowError:
+            raise DomainError(x, y, node, "overflow") from None
+    return _BINARY_OPS[cls](args[0], args[1])
+
+
+def _derivative(node: Expr, ds: list) -> Expr:
+    """Derivative of an inner node from the derivatives ``ds`` of its
+    operands.  ``exp`` and ``sqrt`` use a fresh twin of the node."""
+    cls = node.__class__
+    if cls is Neg:
+        return _neg(ds[0])
+    if cls is Add:
+        return _add(ds[0], ds[1])
+    if cls is Sub:
+        return _sub(ds[0], ds[1])
+    if cls is Mul:
+        return _add(_mul(ds[0], node.right), _mul(node.left, ds[1]))
+    if cls is Div:
+        # (l/r)' = l'/r - l*r'/r^2, assembled to share the quotient node
+        right = node.right
+        return _div(_sub(_mul(ds[0], right), _mul(node.left, ds[1])), _mul(right, right))
+    if cls is Pow:
+        return _mul(_mul(Const(node.exponent), _pow(node.base, node.exponent - 1.0)), ds[0])
+    u, du, name = node.arg, ds[0], node.name
+    if name in _CHAIN:
+        return _mul(Call(_CHAIN[name], u), du)
+    if name == "cos":
+        return _neg(_mul(Call("sin", u), du))
+    if name == "tan":
+        return _div(du, _pow(Call("cos", u), 2.0))
+    if name == "exp":
+        return _mul(Call("exp", u), du)
+    if name == "ln":
+        return _div(du, u)
+    # sqrt
+    return _div(du, _mul(Const(2.0), Call("sqrt", u)))
+
+
+# functions whose derivative is another function of the same argument
+_CHAIN = {"sin": "cos", "sinh": "cosh", "cosh": "sinh"}
 
 
 def _bits(value: float) -> bytes:
@@ -409,12 +413,17 @@ _GRID_FUNCS = {
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+# the derivative slot of every constant; an inner node's slot is empty (unset)
+# until a walk fills it
+Const._dcache = {"x": ZERO, "y": ZERO}
+_EMPTY: dict = {}
 X = Var("x")
 Y = Var("y")
 
 
 # ---------------------------------------------------------------------------
-# smart constructors (constant folding, 0/1 absorption, double negation)
+# smart constructors (constant folding to finite constants, 0/1 absorption,
+# double negation)
 
 
 def _wrap(value) -> Expr:
@@ -428,7 +437,7 @@ def _is_const(e: Expr, v: float) -> bool:
 
 
 def _add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value + b.value):
         return Const(a.value + b.value)
     if _is_const(a, 0.0):
         return b
@@ -438,7 +447,7 @@ def _add(a: Expr, b: Expr) -> Expr:
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value - b.value):
         return Const(a.value - b.value)
     if _is_const(b, 0.0):
         return a
@@ -448,7 +457,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value * b.value):
         return Const(a.value * b.value)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return ZERO
@@ -462,7 +471,8 @@ def _mul(a: Expr, b: Expr) -> Expr:
 def _div(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
+    if (isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0
+            and math.isfinite(a.value / b.value)):
         return Const(a.value / b.value)
     return Div(a, b)
 
@@ -481,23 +491,22 @@ def _pow(base: Expr, exponent: float) -> Expr:
         return ONE
     if e == 1.0:
         return base
-    if isinstance(base, Const):
-        node = Pow(base, e)
-        try:
-            return Const(node.eval(0.0, 0.0))
-        except DomainError:
-            return node
-    return Pow(base, e)
+    return _unary(Pow(base, e))
 
 
 def _call(name: str, arg: Expr) -> Expr:
+    return _unary(Call(name, arg))
+
+
+def _unary(node: Expr) -> Expr:
+    """A power or call of a constant folded to its value, if it has one."""
+    [arg] = _operands(node)
     if isinstance(arg, Const):
-        node = Call(name, arg)
         try:
-            return Const(node.eval(0.0, 0.0))
+            return Const(_scalar(node, [arg.value], 0.0, 0.0))
         except DomainError:
-            return node
-    return Call(name, arg)
+            pass
+    return node
 
 
 # public constructor helpers
@@ -707,18 +716,6 @@ def eval_grid_many(exprs, xs, ys, numbering: ValueNumbering | None = None,
     values = numbering.run(vns, xs, ys, known)
     known.update(zip(vns, values))
     return values
-
-
-# ---------------------------------------------------------------------------
-# spec-level operation wrappers
-
-
-def evaluate(e: Expr, x: float, y: float) -> float:
-    return e.eval(x, y)
-
-
-def differentiate(e: Expr, variable: str) -> Expr:
-    return e.diff(variable)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 from .expr import Const, DomainError, Expr, ValueNumbering, eval_grid_many
 
 __all__ = [
-    "Chart", "ScalarField", "OneForm", "TwoForm",
+    "Chart", "OneForm", "TwoForm",
     "d0", "d1", "wedge11", "integrate2", "line_integral",
     "evaluate_grid", "evaluate_grid_many", "root_cache", "sup_norm", "grid_derivative",
     "potential_on_grid", "generator_loop_integrals",
@@ -130,11 +130,6 @@ class Chart:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    coefficient: Expr
-
-
-@dataclass(frozen=True)
 class OneForm:
     """``p dx + q dy``."""
 
@@ -181,10 +176,9 @@ ZERO_TWO_FORM = TwoForm(Const(0.0))
 # exterior derivative and wedge
 
 
-def d0(f: ScalarField) -> OneForm:
+def d0(f: Expr) -> OneForm:
     """Exterior derivative of a scalar field."""
-    e = f.coefficient
-    return OneForm(e.diff("x"), e.diff("y"))
+    return OneForm(f.diff("x"), f.diff("y"))
 
 
 def d1(a: OneForm) -> TwoForm:
@@ -280,8 +274,6 @@ def evaluate_grid_many(exprs, chart: Chart, lattice: str = "mid") -> list[np.nda
 def _flatten_exprs(obj) -> list[Expr]:
     if isinstance(obj, Expr):
         return [obj]
-    if isinstance(obj, ScalarField):
-        return [obj.coefficient]
     if isinstance(obj, OneForm):
         return [obj.p, obj.q]
     if isinstance(obj, TwoForm):

@@ -4,9 +4,11 @@ determinant-one gauges."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from metriconn.expr import Const, Expr, X, Y, cos, eval_grid_many, exp, ln, sin, sqrt
+from metriconn.expr import ONE, ZERO, Const, Expr, X, Y, cos, eval_grid_many, exp, ln, sin, sqrt
 from metriconn.expr import (
     _CONSTANTS, _TOKEN_RE, FUNCTIONS, ParseError,
     _add, _call, _div, _mul, _neg, _operands, _pow, _shape, _sub,
@@ -244,6 +246,133 @@ _REFERENCE_FUNCS = {
     "exp": np.exp, "ln": np.log, "sqrt": np.sqrt,
     "sinh": np.sinh, "cosh": np.cosh,
 }
+
+
+# ---------------------------------------------------------------------------
+# reference scalar evaluation and differentiation
+
+
+def reference_eval(e: Expr, x: float, y: float) -> float:
+    """The recursive per-class ``eval`` methods that scalar evaluation had
+    before its one walk, kept as the reference it must match: the same
+    ``math`` functions and Python operators, and the same
+    :class:`DomainError` at the same node.  A shared node is evaluated each
+    time it is reached, as before."""
+    from metriconn import expr as ex
+
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Var):
+        return x if e.name == "x" else y
+    if isinstance(e, ex.Neg):
+        return -reference_eval(e.arg, x, y)
+    if isinstance(e, ex.Add):
+        return reference_eval(e.left, x, y) + reference_eval(e.right, x, y)
+    if isinstance(e, ex.Sub):
+        return reference_eval(e.left, x, y) - reference_eval(e.right, x, y)
+    if isinstance(e, ex.Mul):
+        return reference_eval(e.left, x, y) * reference_eval(e.right, x, y)
+    if isinstance(e, ex.Div):
+        den = reference_eval(e.right, x, y)
+        if den == 0.0:
+            raise ex.DomainError(x, y, e, "division by zero")
+        return reference_eval(e.left, x, y) / den
+    if isinstance(e, ex.Pow):
+        b = reference_eval(e.base, x, y)
+        n = e._int_exponent
+        if n is not None:
+            if b == 0.0 and n < 0:
+                raise ex.DomainError(x, y, e, "zero base with negative exponent")
+            try:
+                return b ** n
+            except OverflowError:
+                raise ex.DomainError(x, y, e, "overflow") from None
+        if b <= 0.0:
+            raise ex.DomainError(x, y, e, "non-positive base with non-integer exponent")
+        try:
+            return math.pow(b, e.exponent)
+        except OverflowError:
+            raise ex.DomainError(x, y, e, "overflow") from None
+    if isinstance(e, ex.Call):
+        v = reference_eval(e.arg, x, y)
+        name = e.name
+        if name == "ln" and v <= 0.0:
+            raise ex.DomainError(x, y, e, "ln of a non-positive value")
+        if name == "sqrt" and v < 0.0:
+            raise ex.DomainError(x, y, e, "sqrt of a negative value")
+        try:
+            return _REFERENCE_SCALAR_FUNCS[name](v)
+        except OverflowError:
+            raise ex.DomainError(x, y, e, "overflow") from None
+    raise TypeError(f"cannot evaluate {type(e).__name__}")
+
+
+_REFERENCE_SCALAR_FUNCS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan,
+    "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
+    "sinh": math.sinh, "cosh": math.cosh,
+}
+
+
+def reference_diff(e: Expr, variable: str, memo=None) -> Expr:
+    """The recursive per-class ``_diff`` rules that differentiation had
+    before its one walk, kept as the reference it must match structurally.
+    The derivatives are kept in ``memo`` by ``id()`` for the length of one
+    call, where they were kept on the nodes, so the reference leaves the
+    nodes' own caches alone; ``exp`` and ``sqrt`` use their own node."""
+    from metriconn import expr as ex
+
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+
+    def d(node):
+        return reference_diff(node, variable, memo)
+
+    if isinstance(e, ex.Const):
+        out = ZERO
+    elif isinstance(e, ex.Var):
+        out = ONE if variable == e.name else ZERO
+    elif isinstance(e, ex.Neg):
+        out = _neg(d(e.arg))
+    elif isinstance(e, ex.Add):
+        out = _add(d(e.left), d(e.right))
+    elif isinstance(e, ex.Sub):
+        out = _sub(d(e.left), d(e.right))
+    elif isinstance(e, ex.Mul):
+        out = _add(_mul(d(e.left), e.right), _mul(e.left, d(e.right)))
+    elif isinstance(e, ex.Div):
+        out = _div(_sub(_mul(d(e.left), e.right), _mul(e.left, d(e.right))),
+                   _mul(e.right, e.right))
+    elif isinstance(e, ex.Pow):
+        out = _mul(_mul(Const(e.exponent), _pow(e.base, e.exponent - 1.0)), d(e.base))
+    elif isinstance(e, ex.Call):
+        u = e.arg
+        du = d(u)
+        name = e.name
+        if name == "sin":
+            out = _mul(ex.Call("cos", u), du)
+        elif name == "cos":
+            out = _neg(_mul(ex.Call("sin", u), du))
+        elif name == "tan":
+            out = _div(du, _pow(ex.Call("cos", u), 2.0))
+        elif name == "exp":
+            out = _mul(e, du)
+        elif name == "ln":
+            out = _div(du, u)
+        elif name == "sqrt":
+            out = _div(du, _mul(Const(2.0), e))
+        elif name == "sinh":
+            out = _mul(ex.Call("cosh", u), du)
+        else:
+            out = _mul(ex.Call("sinh", u), du)
+    else:
+        raise TypeError(f"cannot differentiate {type(e).__name__}")
+    # the node is kept with its derivative, so its id() is not reused
+    memo[id(e)] = (e, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from metriconn.cli import run
+from metriconn.expr import parse, to_source
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -286,8 +287,6 @@ def test_one_flat_tolerance(tmp_path):
     ("check", "theta.1.1.dx = 1/0"),
     # flat, finite on the sample grid, infinite on the node line x = 0
     ("check", "theta.1.1.dx = 1/x"),
-    ("check", "theta.1.2.dy = " + " + ".join(["sin(x)"] * 5000)),
-    ("volume", "theta.1.2.dy = " + " + ".join(["sin(x)"] * 5000)),
 ])
 def test_numerical_failures_are_input_errors(tmp_path, command, connection):
     spec = _spec(tmp_path, "bad.conn", connection,
@@ -296,6 +295,30 @@ def test_numerical_failures_are_input_errors(tmp_path, command, connection):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,field,verdict,expected_code", [
+    ("check", "verdict", "NotMetricEigen", 1),
+    ("volume", "closed", True, 0),
+])
+def test_long_sum_gets_a_verdict(tmp_path, command, field, verdict, expected_code):
+    # 5000 terms: deeper than the interpreter's recursion limit
+    spec = _spec(tmp_path, "long.conn", "theta.1.2.dy = " + " + ".join(["sin(x)"] * 5000),
+                 chart="x = 0 .. 1\ny = 0 .. 1\ngrid = 16 16\n")
+    code, fields, err = run_json(command, spec)
+    assert (code, fields[field], err) == (expected_code, verdict, "")
+
+
+def test_overflowing_constants_are_located(tmp_path):
+    # two constants fold only to a finite constant: the product stays a node
+    # that prints, parses back, and is named where it overflows
+    assert to_source(parse("1e200*1e200*x")) == "1e+200*1e+200*x"
+    assert to_source(parse(to_source(parse("1e200*1e200*x")))) == "1e+200*1e+200*x"
+    spec = _spec(tmp_path, "overflow.conn", "theta.1.2.dy = 1e200*1e200*x",
+                 chart="x = 0 .. 1\ny = 0 .. 1\ngrid = 16 16\n")
+    code, out, err = run_cli("check", spec)
+    assert (code, out) == (3, "")
+    assert err == "error: overflow at (0.03125, 0.03125) while evaluating 1e+200*1e+200\n"
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])

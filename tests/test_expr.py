@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 try:
-    from hypothesis import assume, given, settings, strategies as st
+    from hypothesis import given, settings, strategies as st
 except ImportError:
     given = None
 
@@ -17,12 +17,9 @@ from metriconn.expr import (
     Var,
     X,
     Y,
-    _postorder,
     cos,
     cosh,
-    differentiate,
     eval_grid_many,
-    evaluate,
     exp,
     ln,
     parse,
@@ -72,60 +69,60 @@ def test_parse_errors_carry_offsets(text, offset):
 
 
 def test_reserved_constants():
-    assert evaluate(parse("pi"), 0.0, 0.0) == math.pi
-    assert evaluate(parse("e"), 0.0, 0.0) == math.e
-    assert evaluate(parse("cos(pi)"), 1.0, 1.0) == -1.0
+    assert parse("pi").eval(0.0, 0.0) == math.pi
+    assert parse("e").eval(0.0, 0.0) == math.e
+    assert parse("cos(pi)").eval(1.0, 1.0) == -1.0
 
 
 def test_scientific_notation():
-    assert evaluate(parse("1.5e-3"), 0.0, 0.0) == 1.5e-3
-    assert evaluate(parse("2e2 + .5"), 0.0, 0.0) == 200.5
+    assert parse("1.5e-3").eval(0.0, 0.0) == 1.5e-3
+    assert parse("2e2 + .5").eval(0.0, 0.0) == 200.5
 
 
 def test_constant_exponent_folds():
     e = parse("x^(1+1)")
-    assert evaluate(e, 3.0, 0.0) == 9.0
+    assert e.eval(3.0, 0.0) == 9.0
 
 
 def test_evaluate_polynomial():
-    assert evaluate(parse("x^2 + y"), 2.0, 3.0) == 7.0
+    assert parse("x^2 + y").eval(2.0, 3.0) == 7.0
 
 
 def test_evaluate_exp_zero():
     e = parse("exp(0)")
-    assert evaluate(e, -1.3, 2.4) == 1.0
+    assert e.eval(-1.3, 2.4) == 1.0
 
 
 def test_evaluate_domain_errors():
     with pytest.raises(DomainError) as excinfo:
-        evaluate(parse("ln(x)"), -1.0, 0.0)
+        parse("ln(x)").eval(-1.0, 0.0)
     assert excinfo.value.point == (-1.0, 0.0)
     with pytest.raises(DomainError):
-        evaluate(parse("1/x"), 0.0, 1.0)
+        parse("1/x").eval(0.0, 1.0)
     with pytest.raises(DomainError):
-        evaluate(parse("sqrt(x)"), -0.5, 0.0)
+        parse("sqrt(x)").eval(-0.5, 0.0)
     with pytest.raises(DomainError):
-        evaluate(parse("x^0.5"), -2.0, 0.0)
+        parse("x^0.5").eval(-2.0, 0.0)
     with pytest.raises(DomainError):
-        evaluate(parse("x^(-1)"), 0.0, 0.0)
+        parse("x^(-1)").eval(0.0, 0.0)
 
 
 def test_differentiate_product():
-    d = differentiate(parse("x*y"), "x")
+    d = parse("x*y").diff("x")
     for x, y in random_points(np.random.default_rng(0), 20):
-        assert evaluate(d, x, y) == y
+        assert d.eval(x, y) == y
 
 
 def test_differentiate_sin():
-    d = differentiate(parse("sin(x)"), "x")
+    d = parse("sin(x)").diff("x")
     for x, y in random_points(np.random.default_rng(1), 20):
-        assert evaluate(d, x, y) == math.cos(x)
+        assert d.eval(x, y) == math.cos(x)
 
 
 def test_differentiate_exp_chain():
-    d = differentiate(parse("exp(2*y)"), "y")
+    d = parse("exp(2*y)").diff("y")
     for x, y in random_points(np.random.default_rng(2), 20):
-        assert math.isclose(evaluate(d, x, y), 2.0 * math.exp(2.0 * y), rel_tol=1e-15)
+        assert math.isclose(d.eval(x, y), 2.0 * math.exp(2.0 * y), rel_tol=1e-15)
 
 
 def test_derivative_matches_finite_differences():
@@ -134,13 +131,13 @@ def test_derivative_matches_finite_differences():
     for _ in range(100):
         e = random_safe_expr(rng)
         for variable in ("x", "y"):
-            d = differentiate(e, variable)
+            d = e.diff(variable)
             for x, y in random_points(rng, 3):
                 if variable == "x":
-                    fd = (evaluate(e, x + h, y) - evaluate(e, x - h, y)) / (2 * h)
+                    fd = (e.eval(x + h, y) - e.eval(x - h, y)) / (2 * h)
                 else:
-                    fd = (evaluate(e, x, y + h) - evaluate(e, x, y - h)) / (2 * h)
-                exact = evaluate(d, x, y)
+                    fd = (e.eval(x, y + h) - e.eval(x, y - h)) / (2 * h)
+                exact = d.eval(x, y)
                 assert abs(exact - fd) <= 1e-6 * (1.0 + abs(exact))
 
 
@@ -148,7 +145,7 @@ def test_differentiate_total_on_grammar():
     rng = np.random.default_rng(11)
     for _ in range(200):
         e = random_safe_expr(rng, depth=4)
-        differentiate(differentiate(e, "x"), "y")  # must not raise
+        e.diff("x").diff("y")  # must not raise
 
 
 def test_linearity_of_differentiation():
@@ -157,12 +154,12 @@ def test_linearity_of_differentiation():
         e1 = random_safe_expr(rng)
         e2 = random_safe_expr(rng)
         a = float(rng.uniform(-3, 3))
-        combined = differentiate(e1 * a + e2, "x")
-        split = differentiate(e1, "x")
-        split2 = differentiate(e2, "x")
+        combined = (e1 * a + e2).diff("x")
+        split = e1.diff("x")
+        split2 = e2.diff("x")
         for x, y in random_points(rng, 5):
-            lhs = evaluate(combined, x, y)
-            rhs = a * evaluate(split, x, y) + evaluate(split2, x, y)
+            lhs = combined.eval(x, y)
+            rhs = a * split.eval(x, y) + split2.eval(x, y)
             assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
 
@@ -170,10 +167,10 @@ def test_mixed_partials_commute():
     rng = np.random.default_rng(17)
     for _ in range(25):
         e = random_safe_expr(rng)
-        dxy = differentiate(differentiate(e, "x"), "y")
-        dyx = differentiate(differentiate(e, "y"), "x")
+        dxy = e.diff("x").diff("y")
+        dyx = e.diff("y").diff("x")
         for x, y in random_points(rng, 5):
-            a, b = evaluate(dxy, x, y), evaluate(dyx, x, y)
+            a, b = dxy.eval(x, y), dyx.eval(x, y)
             assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
 
 
@@ -183,7 +180,7 @@ def test_constant_folding_preserves_values():
         e = random_safe_expr(rng)
         folded = (e + 0) * 1 - 0
         for x, y in random_points(rng, 5):
-            assert evaluate(folded, x, y) == evaluate(e, x, y)
+            assert folded.eval(x, y) == e.eval(x, y)
 
 
 def test_print_parse_round_trip():
@@ -201,7 +198,7 @@ def test_print_parse_round_trip():
         text = to_source(e)
         back = parse(text)
         for x, y in random_points(rng, 6):
-            assert evaluate(back, x, y) == evaluate(e, x, y), text
+            assert back.eval(x, y) == e.eval(x, y), text
 
 
 def smart_expressions():
@@ -243,8 +240,6 @@ def test_print_parse_round_trip_property():
     @settings(max_examples=300, deadline=None)
     @given(smart_expressions())
     def check(e):
-        # folding can overflow a constant; inf and nan have no source form
-        assume(all(math.isfinite(n.value) for n in _postorder(e) if isinstance(n, Const)))
         text = to_source(e)
         assert samples(parse(text)) == samples(e), text
 
@@ -253,5 +248,5 @@ def test_print_parse_round_trip_property():
 
 def test_expressions_are_pure():
     e = parse("sin(x)*exp(y) + x^3")
-    first = [evaluate(e, 0.3, -1.2) for _ in range(5)]
+    first = [e.eval(0.3, -1.2) for _ in range(5)]
     assert len(set(first)) == 1

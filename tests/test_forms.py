@@ -5,7 +5,6 @@ from metriconn.expr import Const, DomainError, X, Y, cos, parse, sin
 from metriconn.forms import (
     Chart,
     OneForm,
-    ScalarField,
     TwoForm,
     d0,
     d1,
@@ -27,11 +26,11 @@ def chart():
 @pytest.fixture(scope="module")
 def scalar_corpus():
     rng = np.random.default_rng(5)
-    fields = [ScalarField(random_safe_expr(rng)) for _ in range(12)]
+    fields = [random_safe_expr(rng) for _ in range(12)]
     fields += [
-        ScalarField(parse("x*y")),
-        ScalarField(parse("exp(x)*sin(y)")),
-        ScalarField(parse("sqrt(4 + x^2 + y^2)")),
+        parse("x*y"),
+        parse("exp(x)*sin(y)"),
+        parse("sqrt(4 + x^2 + y^2)"),
     ]
     return fields
 
@@ -44,18 +43,18 @@ def test_chart_validation():
 
 
 def test_d0_product(chart):
-    df = d0(ScalarField(parse("x*y")))
+    df = d0(parse("x*y"))
     assert sup_norm(df.p - Y, chart) == 0.0
     assert sup_norm(df.q - X, chart) == 0.0
 
 
 def test_d0_constant(chart):
-    df = d0(ScalarField(Const(5.0)))
+    df = d0(Const(5.0))
     assert sup_norm(df, chart) == 0.0
 
 
 def test_d0_sin(chart):
-    df = d0(ScalarField(sin(X)))
+    df = d0(sin(X))
     assert sup_norm(df.p - cos(X), chart) == 0.0
     assert sup_norm(df.q, chart) == 0.0
 
@@ -96,8 +95,8 @@ def test_leibniz_rule():
     for _ in range(10):
         f = random_safe_expr(rng, 2)
         g = random_safe_expr(rng, 2)
-        lhs = d0(ScalarField(f * g))
-        rhs = d0(ScalarField(g)).scaled(f) + d0(ScalarField(f)).scaled(g)
+        lhs = d0(f * g)
+        rhs = d0(g).scaled(f) + d0(f).scaled(g)
         scale = 1.0 + sup_norm(lhs, box)
         assert sup_norm(lhs - rhs, box) <= 1e-9 * scale
 
@@ -145,7 +144,7 @@ def test_line_integral_fundamental_theorem():
     rng = np.random.default_rng(31)
     for _ in range(8):
         f = random_safe_expr(rng)
-        form = d0(ScalarField(f))
+        form = d0(f)
         path = [(0.1, 0.2), (1.4, 0.2), (1.4, -0.7), (-0.3, -0.7)]
         expected = f.eval(*path[-1]) - f.eval(*path[0])
         assert line_integral(form, path) == pytest.approx(expected, abs=1e-6)

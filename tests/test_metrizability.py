@@ -435,7 +435,7 @@ def test_check_rejects_rank_mismatch(chart):
 
 
 def test_recovered_metric_expressions_round_trip(chart):
-    from metriconn.expr import evaluate, parse, to_source
+    from metriconn.expr import parse, to_source
     w = OneForm(ZERO, Const(2.0) + cos(X))
     theta0 = skew_connection(w, chart)
     rotation = FrameChange(((cos(X), Const(0.6)), (Const(-0.6), cos(X))), chart)
@@ -447,7 +447,7 @@ def test_recovered_metric_expressions_round_trip(chart):
             entry = report.metric.entries[i][j]
             back = parse(to_source(entry))
             for x, y in points:
-                assert evaluate(back, x, y) == evaluate(entry, x, y)
+                assert back.eval(x, y) == entry.eval(x, y)
 
 
 def test_check_conformal_metric_branch():
