@@ -23,7 +23,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
-from .expr import DomainError, ParseError, to_source
+from .expr import DomainError, ParseError, to_source, to_sources
 from .forms import Chart, sup_norm
 from .connection import ConnectionMatrix, NotFlat, SingularFrame, \
     compatibility_residual, residual_sup
@@ -140,10 +140,9 @@ def _verdict_fields(report: MetrizabilityReport):
     for name, value in sorted(report.tolerances.items()):
         yield f"tolerance.{name}", value
     if report.metric is not None:
-        g = report.metric.entries
-        yield "metric.g.1.1", to_source(g[0][0])
-        yield "metric.g.1.2", to_source(g[0][1])
-        yield "metric.g.2.2", to_source(g[1][1])
+        (g11, g12), (_, g22) = report.metric.entries
+        yield from zip(("metric.g.1.1", "metric.g.1.2", "metric.g.2.2"),
+                       to_sources([g11, g12, g22]))
     if report.conformal_log is not None:
         yield "metric.conformal", True
         yield "metric.conformal_log.min", float(np.min(report.conformal_log))

@@ -454,56 +454,82 @@ def _mul(a, b):
     return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
 
-def _transport(coeffs, along_x: bool, t0: float, h: float, intervals: int, fixed, b0):
-    """Advance parallel frames along a batch of gridlines in lockstep.
+def _transport(legs) -> list:
+    """Advance parallel frames along several legs of gridlines in lockstep.
 
-    Solves ``B' = -M(t) B`` with classical RK4, ``RK4_SUBSTEPS`` steps per
-    node interval, where ``M`` is the Expr matrix ``coeffs`` (the dx
-    coefficients when ``along_x``, else the dy ones).  Line ``l`` lies at
-    ``fixed[l]`` on the other axis and runs from ``t0`` through
+    A leg is ``(coeffs, along_x, t0, h, intervals, fixed, b0)``: it solves
+    ``B' = -M(t) B`` with classical RK4, ``RK4_SUBSTEPS`` steps per node
+    interval, where ``M`` is the Expr matrix ``coeffs`` (the dx
+    coefficients when ``along_x``, else the dy ones).  Line ``l`` of the
+    leg lies at ``fixed[l]`` on the other axis and runs from ``t0`` through
     ``intervals`` node intervals of signed length ``h``.  Frames are
     component arrays of shape ``(2, 2, len(fixed))``, starting from ``b0``;
-    the result holds them at every node, shape
-    ``(intervals + 1, 2, 2, len(fixed))``.
+    the result of the leg holds them at every node, shape
+    ``(intervals + 1, 2, 2, len(fixed))``.  One result per leg, in order.
+
+    All lines of all legs take one RK4 step together.  Each leg keeps its
+    own samples ``linspace(t0, t0 + intervals * h)`` and its own step, held
+    per line, so each line gets the bits a run of its leg alone gives.  A
+    leg with fewer steps repeats its last sample, and the frames of its
+    extra steps are discarded.  A single leg steps on the broadcast samples
+    without copying them.
     """
-    out = np.empty((intervals + 1, 2, 2, len(fixed)))
-    out[0] = b0
-    if intervals == 0:
-        return out
-    steps = intervals * RK4_SUBSTEPS
-    ts = np.linspace(t0, t0 + intervals * h, 2 * steps + 1)[:, None]
-    line = np.asarray(fixed, dtype=float)[None, :]
-    mats = _coefficient_samples(coeffs, *((ts, line) if along_x else (line, ts)))
-    mats = np.broadcast_to(mats, (2, 2, ts.size, mats.shape[-1]))
-    # RK4 on B' = M B with the step negated: every stage only flips sign,
-    # exactly, so this is RK4 on B' = -M B without negating the samples
-    hs = -h / RK4_SUBSTEPS
-    b = out[0]
-    for s in range(steps):
-        k1 = _mul(mats[:, :, 2 * s], b)
-        k2 = _mul(mats[:, :, 2 * s + 1], b + (hs / 2.0) * k1)
-        k3 = _mul(mats[:, :, 2 * s + 1], b + (hs / 2.0) * k2)
-        k4 = _mul(mats[:, :, 2 * s + 2], b + hs * k3)
-        b = b + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (s + 1) % RK4_SUBSTEPS == 0:
-            out[(s + 1) // RK4_SUBSTEPS] = b
-    return out
+    legs = list(legs)
+    widths = [len(leg[5]) for leg in legs]
+    edges = np.cumsum([0] + widths)
+    longest = max(leg[4] for leg in legs)
+    out = np.empty((longest + 1, 2, 2, edges[-1]))
+    for (*_, b0), lo, hi in zip(legs, edges, edges[1:]):
+        out[0, :, :, lo:hi] = b0
+    if longest:
+        steps = longest * RK4_SUBSTEPS
+        samples, hs = [], []
+        for (coeffs, along_x, t0, h, intervals, fixed, _), width in zip(legs, widths):
+            ts = np.linspace(t0, t0 + intervals * h, 2 * intervals * RK4_SUBSTEPS + 1)[:, None]
+            line = np.asarray(fixed, dtype=float)[None, :]
+            mats = _coefficient_samples(coeffs, *((ts, line) if along_x else (line, ts)))
+            mats = np.broadcast_to(mats, (2, 2, ts.size, width))
+            if ts.size < 2 * steps + 1:
+                mats = mats[:, :, np.minimum(np.arange(2 * steps + 1), ts.size - 1)]
+            samples.append(mats)
+            hs.append(np.full(width, -h / RK4_SUBSTEPS))
+        mats = samples[0] if len(legs) == 1 else np.concatenate(samples, axis=-1)
+        # RK4 on B' = M B with the step negated: every stage only flips sign,
+        # exactly, so this is RK4 on B' = -M B without negating the samples
+        hs = np.concatenate(hs)
+        half, sixth = hs / 2.0, hs / 6.0
+        b = out[0]
+        for s in range(steps):
+            k1 = _mul(mats[:, :, 2 * s], b)
+            k2 = _mul(mats[:, :, 2 * s + 1], b + half * k1)
+            k3 = _mul(mats[:, :, 2 * s + 1], b + half * k2)
+            k4 = _mul(mats[:, :, 2 * s + 2], b + hs * k3)
+            b = b + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if (s + 1) % RK4_SUBSTEPS == 0:
+                out[(s + 1) // RK4_SUBSTEPS] = b
+    return [out[:leg[4] + 1, :, :, lo:hi] for leg, lo, hi in zip(legs, edges, edges[1:])]
 
 
 def _transport_to(coeffs, along_x: bool, t0: float, t1: float, h: float, fixed, b0):
     """Frames at ``t1``, transported from ``b0`` at ``t0`` through node
     intervals no longer than ``h``."""
     intervals = 0 if t0 == t1 else max(1, int(np.ceil(abs(t1 - t0) / h)))
-    return _transport(coeffs, along_x, t0, (t1 - t0) / max(intervals, 1), intervals,
-                      fixed, b0)[-1]
+    [out] = _transport([(coeffs, along_x, t0, (t1 - t0) / max(intervals, 1), intervals,
+                         fixed, b0)])
+    return out[-1]
 
 
-def _sweep(theta: ConnectionMatrix, basepoint, x_first: bool = True) -> np.ndarray:
+def _sweep(theta: ConnectionMatrix, basepoint, x_first: bool = True, riders=()):
     """Parallel frame at every node as component arrays, shape
     ``(2, 2, nx, ny)``: transport from the basepoint to the first node of its
     gridline on the first axis and along that gridline, then move the whole
     line to the first node of the second axis and sweep every gridline of
-    the second axis in lockstep."""
+    the second axis in lockstep.
+
+    The legs ``riders`` (see :func:`_transport`) run in lockstep with the
+    gridline on the first axis; their results follow the frame:
+    ``(frame, rider_results)``.
+    """
     chart = theta.chart
     first = (theta.p_matrix(), True, chart.xs("node"), chart.hx, basepoint[0])
     second = (theta.q_matrix(), False, chart.ys("node"), chart.hy, basepoint[1])
@@ -511,12 +537,13 @@ def _sweep(theta: ConnectionMatrix, basepoint, x_first: bool = True) -> np.ndarr
         first, second = second, first
     (c1, along1, nodes1, h1, b1), (c2, along2, nodes2, h2, b2) = first, second
     start = _transport_to(c1, along1, b1, nodes1[0], h1, [b2], np.eye(2)[:, :, None])
-    line = _transport(c1, along1, nodes1[0], h1, len(nodes1) - 1, [b2], start)
+    line, *ridden = _transport([(c1, along1, nodes1[0], h1, len(nodes1) - 1, [b2], start),
+                                *riders])
     line = np.moveaxis(line[..., 0], 0, -1)
     line = _transport_to(c2, along2, b2, nodes2[0], h2, nodes1, line)
-    grid = np.moveaxis(_transport(c2, along2, nodes2[0], h2, len(nodes2) - 1, nodes1, line),
-                       0, -1)
-    return grid if x_first else grid.swapaxes(2, 3)
+    [grid] = _transport([(c2, along2, nodes2[0], h2, len(nodes2) - 1, nodes1, line)])
+    grid = np.moveaxis(grid, 0, -1)
+    return (grid if x_first else grid.swapaxes(2, 3)), ridden
 
 
 def _curvature_peak(omega: CurvatureMatrix, theta_sup: float, tolerances: Tolerances):
@@ -562,24 +589,24 @@ def _parallel_frame(theta: ConnectionMatrix, basepoint) -> ParallelFrame:
     connection already known to be flat and a basepoint in the chart."""
     chart = theta.chart
     xb, yb = basepoint
+    # the transports around the periodic generators ride with the frame's
+    # first gridline
+    eye = np.eye(2)[:, :, None]
+    loops = {}
+    if chart.periodic_x:
+        loops["x"] = (theta.p_matrix(), True, xb, chart.hx, chart.nx, [yb], eye)
+    if chart.periodic_y:
+        loops["y"] = (theta.q_matrix(), False, yb, chart.hy, chart.ny, [xb], eye)
     with np.errstate(over="ignore", invalid="ignore"):   # reported just below
-        values = np.ascontiguousarray(np.moveaxis(_sweep(theta, basepoint), (0, 1), (2, 3)))
+        sweep, looped = _sweep(theta, basepoint, riders=list(loops.values()))
+        values = np.ascontiguousarray(np.moveaxis(sweep, (0, 1), (2, 3)))
         residuals = _frame_residuals(theta, values)
     if not all(np.all(np.isfinite(arr)) for arr in (values, *residuals)):
         raise ArithmeticError("the parallel frame is not finite on the grid: "
                               "RK4 transport overflowed")
     residual = max(float(np.max(np.abs(res))) for res in residuals)
-
-    eye = np.eye(2)[:, :, None]
-    loop_x = loop_y = None
-    if chart.periodic_x:
-        loop_x = _transport(theta.p_matrix(), True, xb, chart.hx, chart.nx,
-                            [yb], eye)[-1, ..., 0]
-    if chart.periodic_y:
-        loop_y = _transport(theta.q_matrix(), False, yb, chart.hy, chart.ny,
-                            [xb], eye)[-1, ..., 0]
-
-    return ParallelFrame(chart, basepoint, values, residual, loop_x, loop_y)
+    ends = {axis: out[-1, ..., 0] for axis, out in zip(loops, looped)}
+    return ParallelFrame(chart, basepoint, values, residual, ends.get("x"), ends.get("y"))
 
 
 def _frame_residuals(theta: ConnectionMatrix, values: np.ndarray) -> list:

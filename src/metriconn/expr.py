@@ -39,7 +39,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ParseError", "DomainError",
-    "parse", "to_source",
+    "parse", "to_source", "to_sources",
     "ValueNumbering", "eval_grid_many",
     "sin", "cos", "tan", "exp", "ln", "sqrt", "sinh", "cosh",
     "X", "Y", "ZERO", "ONE",
@@ -149,29 +149,36 @@ class Expr:
         """Exact derivative with respect to ``'x'`` or ``'y'``.
 
         Fills the empty derivative slots below, operands first, with the
-        rule of :func:`_derivative`; a walk stops at a filled slot.
+        rule of :func:`_derivative`; a walk stops at a filled slot.  Each
+        visit of a node reads its own slot once; the derivatives of its
+        operands reach it on a stack, so no operand's slot is read again.
         """
         if variable not in ("x", "y"):
             raise ValueError(f"unknown variable {variable!r}")
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            top = len(stack)
-            ds = []
-            for k in _operands(node):
-                d = getattr(k, "_dcache", _EMPTY).get(variable)
-                if d is None:
-                    stack.append(k)
-                ds.append(d)
-            if len(stack) > top:
+        todo: list = [self]
+        done: list = []         # derivatives of the nodes walked, in order
+        while todo:
+            node = todo.pop()
+            if node.__class__ is tuple:
+                # the derivatives of all operands of ``node`` are on ``done``
+                node, arity = node
+                d = _derivative(node, done[-arity:])
+                del done[-arity:]
+                if node._dcache is None:
+                    node._dcache = {variable: d}
+                else:
+                    node._dcache[variable] = d
+                done.append(d)
                 continue
-            stack.pop()
-            cache = getattr(node, "_dcache", None)
-            if cache is None:
-                node._dcache = {variable: _derivative(node, ds)}
-            elif variable not in cache:
-                cache[variable] = _derivative(node, ds)
-        return self._dcache[variable]
+            cache = node._dcache
+            d = cache.get(variable) if cache is not None else None
+            if d is not None:
+                done.append(d)
+                continue
+            kids = _operands(node)
+            todo.append((node, len(kids)))
+            todo.extend(reversed(kids))
+        return done[0]
 
     # operator sugar -------------------------------------------------------
 
@@ -234,6 +241,7 @@ class Neg(Expr):
 
     def __init__(self, arg: Expr):
         self.arg = arg
+        self._dcache = None
 
 
 class _Binary(Expr):
@@ -242,6 +250,7 @@ class _Binary(Expr):
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
+        self._dcache = None
 
 
 class Add(_Binary):
@@ -272,6 +281,7 @@ class Pow(Expr):
     def __init__(self, base: Expr, exponent: float):
         self.base = base
         self.exponent = float(exponent)
+        self._dcache = None
         self._int_exponent = (
             int(self.exponent)
             if self.exponent.is_integer() and abs(self.exponent) < 2**31
@@ -287,6 +297,7 @@ class Call(Expr):
             raise ValueError(f"unknown function {name!r}")
         self.name = name
         self.arg = arg
+        self._dcache = None
 
 
 def _operands(e: Expr) -> tuple:
@@ -413,10 +424,9 @@ _GRID_FUNCS = {
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
-# the derivative slot of every constant; an inner node's slot is empty (unset)
-# until a walk fills it
+# the derivative slot of every constant; an inner node's slot is None until a
+# walk fills it
 Const._dcache = {"x": ZERO, "y": ZERO}
-_EMPTY: dict = {}
 X = Var("x")
 Y = Var("y")
 
@@ -433,37 +443,40 @@ def _wrap(value) -> Expr:
 
 
 def _is_const(e: Expr, v: float) -> bool:
-    return isinstance(e, Const) and e.value == v
+    return e.__class__ is Const and e.value == v
 
 
 def _add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value + b.value):
+    a_const, b_const = a.__class__ is Const, b.__class__ is Const
+    if a_const and b_const and math.isfinite(a.value + b.value):
         return Const(a.value + b.value)
-    if _is_const(a, 0.0):
+    if a_const and a.value == 0.0:
         return b
-    if _is_const(b, 0.0):
+    if b_const and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value - b.value):
+    a_const, b_const = a.__class__ is Const, b.__class__ is Const
+    if a_const and b_const and math.isfinite(a.value - b.value):
         return Const(a.value - b.value)
-    if _is_const(b, 0.0):
+    if b_const and b.value == 0.0:
         return a
-    if _is_const(a, 0.0):
+    if a_const and a.value == 0.0:
         return _neg(b)
     return Sub(a, b)
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value * b.value):
+    a_const, b_const = a.__class__ is Const, b.__class__ is Const
+    if a_const and b_const and math.isfinite(a.value * b.value):
         return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if (a_const and a.value == 0.0) or (b_const and b.value == 0.0):
         return ZERO
-    if _is_const(a, 1.0):
+    if a_const and a.value == 1.0:
         return b
-    if _is_const(b, 1.0):
+    if b_const and b.value == 1.0:
         return a
     return Mul(a, b)
 
@@ -471,16 +484,17 @@ def _mul(a: Expr, b: Expr) -> Expr:
 def _div(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
-    if (isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0
+    if (a.__class__ is Const and b.__class__ is Const and b.value != 0.0
             and math.isfinite(a.value / b.value)):
         return Const(a.value / b.value)
     return Div(a, b)
 
 
 def _neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
+    cls = a.__class__
+    if cls is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if cls is Neg:
         return a.arg
     return Neg(a)
 
@@ -753,12 +767,12 @@ def _render(e: Expr, text: dict) -> str:
     raise TypeError(f"cannot render {cls.__name__}")
 
 
-def _postorder(root: Expr) -> list:
-    """The distinct nodes (by identity) below ``root``, operands first,
+def _postorder(*roots: Expr) -> list:
+    """The distinct nodes (by identity) below ``roots``, operands first,
     found without recursion."""
     order = []
     seen = set()
-    stack = [root]
+    stack = list(reversed(roots))
     while stack:
         node = stack[-1]
         if id(node) in seen:
@@ -779,12 +793,22 @@ def to_source(e: Expr) -> str:
 
     Parenthesisation preserves the tree shape, so re-parsing evaluates to
     bit-identical values.  Non-finite constants (``inf``, ``nan``) have no
-    source form: their text does not parse.  Each distinct node is rendered
-    once, operands first and without recursion; an operand's text is
-    dropped once every node that uses it has been rendered.
+    source form: their text does not parse.  See :func:`to_sources`.
     """
-    order = _postorder(e)
-    uses: dict = {}
+    return to_sources([e])[0]
+
+
+def to_sources(roots) -> list[str]:
+    """The text of :func:`to_source` for each of ``roots``.
+
+    Each distinct node below them (by identity) is rendered once, operands
+    first and without recursion, and its text serves every root that
+    shares the node; an operand's text is dropped once every node that uses
+    it has been rendered, a root's is kept.
+    """
+    roots = list(roots)
+    order = _postorder(*roots)
+    uses: dict = {id(r): 1 for r in roots}
     for node in order:
         for k in _operands(node):
             uses[id(k)] = uses.get(id(k), 0) + 1
@@ -795,7 +819,7 @@ def to_source(e: Expr) -> str:
             uses[id(k)] -= 1
             if not uses[id(k)]:
                 del text[id(k)]
-    return text[id(e)]
+    return [text[id(r)] for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +933,10 @@ class _Parser:
             # a base starts at the token (kind, tok, offset)
             node = None
             if kind == "num":
-                node = share(Const(float(tok)))
+                value = float(tok)
+                if not math.isfinite(value):
+                    self.fail(offset, f"number {tok} is out of range", tok)
+                node = share(Const(value))
             elif kind == "ident":
                 if tok in ("x", "y"):
                     node = X if tok == "x" else Y
@@ -995,7 +1022,8 @@ def parse(text: str) -> Expr:
         base   := number | 'x' | 'y' | 'pi' | 'e' | func '(' expr ')' | '(' expr ')' | '-' base
         func   in {sin, cos, tan, exp, ln, sqrt, sinh, cosh}
 
-    Numbers are decimals with an optional exponent (``1.5e-3``).  ``pi`` and
+    Numbers are decimals with an optional exponent (``1.5e-3``); a number
+    that overflows a float (``1e999``) is an error.  ``pi`` and
     ``e`` are reserved constants.  ``^`` takes one exponent, which must
     reduce to a constant at parse time, so every derivative stays inside the
     grammar; it does not chain (``x^2^3`` is an error).  Unary minus belongs

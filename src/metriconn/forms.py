@@ -13,6 +13,14 @@ Grid evaluation runs all the expressions of one call as one tape
 :func:`metriconn.metrizability.check_metrizability` opens for the length of
 one check, the roots evaluated on a (chart, lattice) pair are kept and
 reused by the later evaluations on that pair.
+
+The tape runs on open meshes, ``xs[:, None]`` and ``ys[None, :]``, so a
+node that depends on one coordinate is computed on that axis alone (shape
+``(nx, 1)`` or ``(1, ny)``) and a constant once.  A result is a read-only
+broadcast view of the full sample shape, possibly with stride 0 along an
+axis.  Elementwise arithmetic on it gives the same bits as on a full mesh;
+a BLAS reduction (``@``) need not, so the quadratures here copy a view
+with a computed axis to a contiguous array first.
 """
 
 from __future__ import annotations
@@ -201,7 +209,7 @@ class _RootCache:
 
     def __init__(self):
         self.numbering = ValueNumbering()
-        self.lattices: dict = {}    # (chart, lattice) -> (xmesh, ymesh, known)
+        self.lattices: dict = {}    # (chart, lattice) -> (xs, ys, known), open meshes
 
 
 _ROOT_CACHE: ContextVar[_RootCache | None] = ContextVar("metriconn_root_cache", default=None)
@@ -225,24 +233,29 @@ def root_cache():
         _ROOT_CACHE.reset(token)
 
 
-def _checked(expr: Expr, raw, xmesh: np.ndarray, ymesh: np.ndarray) -> np.ndarray:
-    """Broadcast a tape value to the mesh; locate and raise a DomainError if
-    any sample is outside the expression's domain."""
-    arr = np.broadcast_to(np.asarray(raw, dtype=float), xmesh.shape)
-    if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        idx = tuple(bad)
-        expr.eval(float(xmesh[idx]), float(ymesh[idx]))
-        raise DomainError(float(xmesh[idx]), float(ymesh[idx]), expr, "non-finite value")
-    return arr
+def _checked(expr: Expr, raw, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """A tape value as a read-only view of the shape of the samples, the
+    broadcast of the open meshes ``xs`` and ``ys``.  The value is tested on
+    its own (smaller) shape; for a sample outside the expression's domain,
+    the first in row-major order of the broadcast shape is located and a
+    DomainError raised there."""
+    shape = np.broadcast_shapes(np.shape(xs), np.shape(ys))
+    raw = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(raw)):
+        idx = tuple(np.argwhere(~np.isfinite(np.broadcast_to(raw, shape)))[0])
+        x = float(np.broadcast_to(xs, shape)[idx])
+        y = float(np.broadcast_to(ys, shape)[idx])
+        expr.eval(x, y)
+        raise DomainError(x, y, expr, "non-finite value")
+    return np.broadcast_to(raw, shape)
 
 
-def _evaluate_on(exprs, xmesh: np.ndarray, ymesh: np.ndarray,
+def _evaluate_on(exprs, xs: np.ndarray, ys: np.ndarray,
                  numbering=None, known=None) -> list[np.ndarray]:
-    """Evaluate expressions on explicit meshes as one tape, checked in order."""
+    """Evaluate expressions on open meshes as one tape, checked in order."""
     with np.errstate(all="ignore"):
-        raws = eval_grid_many(exprs, xmesh, ymesh, numbering, known)
-    return [_checked(e, raw, xmesh, ymesh) for e, raw in zip(exprs, raws)]
+        raws = eval_grid_many(exprs, xs, ys, numbering, known)
+    return [_checked(e, raw, xs, ys) for e, raw in zip(exprs, raws)]
 
 
 def evaluate_grid(expr: Expr, chart: Chart, lattice: str = "mid") -> np.ndarray:
@@ -257,18 +270,25 @@ def evaluate_grid_many(exprs, chart: Chart, lattice: str = "mid") -> list[np.nda
     or built twice with the same structure, is computed once, and each
     intermediate array is dropped after its last use.  Inside
     :func:`root_cache` the roots evaluated earlier on the same chart lattice
-    are reused instead of recomputed.
+    are reused instead of recomputed.  Each result has shape ``(nx, ny)``
+    and is a read-only view, with stride 0 along an axis its expression
+    does not depend on.
     """
     exprs = list(exprs)
     cache = _ROOT_CACHE.get()
     if cache is None:
-        xmesh, ymesh = chart.mesh(lattice)
-        return _evaluate_on(exprs, xmesh, ymesh)
+        return _evaluate_on(exprs, *_open_mesh(chart, lattice))
     entry = cache.lattices.get((chart, lattice))
     if entry is None:
-        entry = cache.lattices[(chart, lattice)] = (*chart.mesh(lattice), {})
-    xmesh, ymesh, known = entry
-    return _evaluate_on(exprs, xmesh, ymesh, cache.numbering, known)
+        entry = cache.lattices[(chart, lattice)] = (*_open_mesh(chart, lattice), {})
+    xs, ys, known = entry
+    return _evaluate_on(exprs, xs, ys, cache.numbering, known)
+
+
+def _open_mesh(chart: Chart, lattice: str) -> tuple[np.ndarray, np.ndarray]:
+    """The chart's samples as open meshes, shapes ``(nx, 1)`` and
+    ``(1, ny)``: they broadcast to :meth:`Chart.mesh`."""
+    return chart.xs(lattice)[:, None], chart.ys(lattice)[None, :]
 
 
 def _flatten_exprs(obj) -> list[Expr]:
@@ -316,6 +336,14 @@ def _axis_rule(x0: float, h: float, n: int, periodic: bool) -> tuple[np.ndarray,
     return nodes, np.full(2 * n, h / 2.0)
 
 
+def _stored(values: np.ndarray) -> np.ndarray:
+    """A grid result laid out as the tape on full meshes left it, for a
+    BLAS reduction, which may round a stride-0 axis differently from a
+    stored one: a value computed along an axis is copied to a contiguous
+    array; a constant stays a stride-0 view."""
+    return np.ascontiguousarray(values) if any(values.strides) else values
+
+
 def integrate2(w: TwoForm, chart: Chart) -> float:
     """Integrate a 2-form over the chart.
 
@@ -324,9 +352,8 @@ def integrate2(w: TwoForm, chart: Chart) -> float:
     """
     xq, wx = _axis_rule(chart.x_range[0], chart.hx, chart.nx, chart.periodic_x)
     yq, wy = _axis_rule(chart.y_range[0], chart.hy, chart.ny, chart.periodic_y)
-    xmesh, ymesh = np.meshgrid(xq, yq, indexing="ij")
-    [values] = _evaluate_on([w.r], xmesh, ymesh)
-    return float(wx @ values @ wy)
+    [values] = _evaluate_on([w.r], xq[:, None], yq[None, :])
+    return float(wx @ _stored(values) @ wy)
 
 
 def line_integral(a: OneForm, vertices, panels: int = 128) -> float:
@@ -378,14 +405,9 @@ def _cumulative_line_integral(expr: Expr, nodes: np.ndarray, other: np.ndarray,
     h = nodes[1] - nodes[0]
     mid = (nodes[:-1] + nodes[1:]) / 2.0
     ts = (mid[:, None] + (h / 2.0) * _GL4_NODES[None, :]).ravel()
-    if along_x:
-        xmesh = np.broadcast_to(ts[None, :], (len(other), ts.size))
-        ymesh = np.broadcast_to(other[:, None], xmesh.shape)
-    else:
-        ymesh = np.broadcast_to(ts[None, :], (len(other), ts.size))
-        xmesh = np.broadcast_to(other[:, None], ymesh.shape)
-    [values] = _evaluate_on([expr], xmesh, ymesh)
-    per_interval = values.reshape(len(other), len(mid), 4) @ _GL4_WEIGHTS * (h / 2.0)
+    lines, samples = other[:, None], ts[None, :]
+    [values] = _evaluate_on([expr], *((samples, lines) if along_x else (lines, samples)))
+    per_interval = _stored(values).reshape(len(other), len(mid), 4) @ _GL4_WEIGHTS * (h / 2.0)
     out = np.zeros((len(other), len(nodes)))
     np.cumsum(per_interval, axis=1, out=out[:, 1:])
     return out

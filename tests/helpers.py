@@ -568,7 +568,10 @@ class _ReferenceParser:
     def parse_base(self) -> Expr:
         kind, text, offset = self.advance()
         if kind == "num":
-            return self.share(Const(float(text)))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(offset, f"number {text} is out of range", text)
+            return self.share(Const(value))
         if kind == "ident":
             if text in ("x", "y"):
                 return X if text == "x" else Y

@@ -321,6 +321,17 @@ def test_overflowing_constants_are_located(tmp_path):
     assert err == "error: overflow at (0.03125, 0.03125) while evaluating 1e+200*1e+200\n"
 
 
+def test_overflowing_literal_is_an_input_error(tmp_path):
+    # it folded to inf and was reported as a non-finite value of 'x + inf*x'
+    spec = _spec(tmp_path, "literal.conn", "theta.1.2.dy = x + 1e999*x\ntheta.2.1.dy = -x",
+                 chart="x = 0 .. 1\ny = 0 .. 1\ngrid = 16 16\n")
+    for argv in (["check", spec], ["check", spec, "--json"], ["volume", spec]):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "")
+        assert err == (f"error: {spec}:7: bad expression 'x + 1e999*x': "
+                       "number 1e999 is out of range at offset 4\n")
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_tolerance_scale_must_be_finite_and_positive(value, capsys):
     code, out, err = run_cli("check", str(SPECS / "skew.conn"), "--tol", value)

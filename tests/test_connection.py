@@ -222,8 +222,8 @@ def test_flat_round_trip_gauge_scrambled(chart):
 def test_parallel_frame_path_independent(chart, basepoint):
     # on a flat connection, sweeping y-first lands on the x-first frame
     theta = scrambled_flat_connection(chart)
-    x_first = _sweep(theta, basepoint, x_first=True)
-    y_first = _sweep(theta, basepoint, x_first=False)
+    x_first, _ = _sweep(theta, basepoint, x_first=True)
+    y_first, _ = _sweep(theta, basepoint, x_first=False)
     assert np.max(np.abs(x_first - y_first)) <= 1e-6
 
 

@@ -28,9 +28,11 @@ from metriconn.expr import (
     sqrt,
     tan,
     to_source,
+    to_sources,
 )
+from metriconn.metrizability import check_metrizability
 
-from helpers import random_points, random_safe_expr
+from helpers import random_points, random_safe_expr, scrambled_instance, torus_chart
 
 
 def test_parse_product_structure():
@@ -199,6 +201,23 @@ def test_print_parse_round_trip():
         back = parse(text)
         for x, y in random_points(rng, 6):
             assert back.eval(x, y) == e.eval(x, y), text
+
+
+def test_to_sources_renders_each_root_as_to_source():
+    # roots that share nodes, that are operands of each other, and repeat
+    a = sin(X) * Y
+    b = a + 1.0
+    c = b * a - exp(b)
+    roots = [a, b, c, a, Const(2.5), X]
+    assert to_sources(roots) == [to_source(e) for e in roots]
+    assert to_sources([]) == []
+    # the three entries of a recovered metric, which share most of their nodes
+    rng = np.random.default_rng(41)
+    _, _, theta = scrambled_instance(rng, torus_chart((16, 16)))
+    report = check_metrizability(theta)
+    assert report.verdict.value == "Metric"
+    (g11, g12), (_, g22) = report.metric.entries
+    assert to_sources([g11, g12, g22]) == [to_source(g) for g in (g11, g12, g22)]
 
 
 def smart_expressions():

@@ -11,6 +11,8 @@ from metriconn.connection import (
     DEFAULT_TOLERANCES,
     ConnectionMatrix,
     NotFlat,
+    _sweep,
+    _transport,
     parallel_frame_flat,
 )
 from metriconn.expr import Const, X
@@ -23,6 +25,7 @@ from helpers import (
     commuting_flat_connection,
     reference_flat_frame,
     scrambled_flat_connection,
+    scrambled_instance,
     torus_chart,
     zero_form,
 )
@@ -109,3 +112,51 @@ def test_basepoint_outside_the_chart_is_rejected_on_every_path(basepoint):
     for theta in (flat, skew):
         with pytest.raises(ValueError, match="outside the chart"):
             check_metrizability(theta, basepoint=basepoint)
+
+
+# ---------------------------------------------------------------------------
+# lockstep RK4 transport over several legs
+
+
+def _bits(arr):
+    return arr.shape, np.ascontiguousarray(arr).view(np.uint64).tobytes()
+
+
+def test_lockstep_legs_equal_single_leg_runs():
+    # legs of different lengths, directions, steps, widths and starts on a
+    # 48 x 64 chart periodic in x: each leg gets the bits it gets alone
+    chart = Chart((0.0, 2.0 * np.pi), (-1.0, 2.0), periodic_x=True, grid=(48, 64))
+    _, _, theta = scrambled_instance(np.random.default_rng(31), chart)
+    p, q = theta.p_matrix(), theta.q_matrix()
+    rng = np.random.default_rng(4)
+    eye = np.eye(2)[:, :, None]
+    legs = [
+        (p, True, 0.0, chart.hx, chart.nx, [0.3], eye),
+        (q, False, -1.0, chart.hy, chart.ny - 1, chart.xs("node")[::5],
+         rng.uniform(-1.0, 1.0, (2, 2, 10))),
+        (p, True, 4.0, -chart.hx, 17, [-0.2, 1.7], rng.uniform(-1.0, 1.0, (2, 2, 1))),
+        (q, False, 0.37, 0.5 * chart.hy, 5, [1.0], eye),
+        (p, True, 1.0, chart.hx, 0, [0.5, 0.6], eye),
+    ]
+    together = _transport(legs)
+    assert len(together) == len(legs)
+    for leg, got in zip(legs, together):
+        [alone] = _transport([leg])
+        assert got.shape == (leg[4] + 1, 2, 2, len(leg[5]))
+        assert _bits(got) == _bits(alone)
+
+
+@pytest.mark.parametrize("basepoint", [None, (1.3, 0.4)])
+def test_frame_loops_equal_single_leg_runs(basepoint):
+    # the loops ride along with the frame's first gridline in one lockstep
+    chart = Chart((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi), periodic_x=True, grid=(48, 64))
+    theta = commuting_flat_connection(np.random.default_rng(6), chart)
+    frame = parallel_frame_flat(theta, basepoint)
+    xb, yb = frame.basepoint
+    eye = np.eye(2)[:, :, None]
+    [loop_x] = _transport([(theta.p_matrix(), True, xb, chart.hx, chart.nx, [yb], eye)])
+    assert _bits(frame.loop_x) == _bits(loop_x[-1, ..., 0])
+    assert frame.loop_y is None
+    sweep, ridden = _sweep(theta, frame.basepoint)
+    assert ridden == []
+    assert _bits(frame.values) == _bits(np.moveaxis(sweep, (0, 1), (2, 3)))

@@ -127,6 +127,42 @@ def test_group_reuse_and_precedence_match_the_reference(text):
     assert_same_as_reference(text)
 
 
+@pytest.mark.parametrize("text,offset,literal", [
+    ("1e999*x", 0, "1e999"),
+    ("x + 2*1e400", 6, "1e400"),
+    ("sin(1e309)", 4, "1e309"),
+    ("-1e999", 1, "1e999"),
+    ("(x + 1e999) + (x + 1e999)", 5, "1e999"),
+    ("x^1e999", 2, "1e999"),
+    ("1" + "0" * 400, 0, "1" + "0" * 400),
+])
+def test_an_overflowing_literal_is_a_parse_error(text, offset, literal):
+    # it folded to Const(inf), which prints as 'inf' and does not parse back
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    err = excinfo.value
+    assert (err.offset, err.message, err.token) == (
+        offset, f"number {literal} is out of range", literal)
+    assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize("text,error", [
+    ("1e999 $", (6, "illegal character", "$")),
+    ("1e999 + (x", (0, "number 1e999 is out of range", "1e999")),
+    ("x + 1e999)", (4, "number 1e999 is out of range", "1e999")),
+])
+def test_an_overflowing_literal_keeps_the_error_order(text, error):
+    # an illegal character anywhere is reported first; the literal comes
+    # before a later syntax error
+    assert outcome(parse, text) == ("error", *error)
+    assert_same_as_reference(text)
+
+
+def test_largest_and_underflowing_literals_parse():
+    assert parse("1.7976931348623157e308*x").left.value == 1.7976931348623157e308
+    assert to_source(parse("1e-999*x")) == "0.0"
+
+
 def test_unary_minus_binds_before_power():
     [value] = eval_grid_many([parse("-x^2")], 3.0, 0.0)
     assert value == 9.0
