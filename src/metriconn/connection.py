@@ -231,14 +231,6 @@ def _det2(a) -> Expr:
     return a[0][0] * a[1][1] - a[0][1] * a[1][0]
 
 
-def _inverse2(a):
-    det = _det2(a)
-    return (
-        (a[1][1] / det, -a[0][1] / det),
-        (-a[1][0] / det, a[0][0] / det),
-    )
-
-
 # ---------------------------------------------------------------------------
 # core operations
 
@@ -273,11 +265,10 @@ def trace_curvature(omega: CurvatureMatrix) -> TwoForm:
     return acc
 
 
-def _check_nonsingular(frame: FrameChange) -> None:
-    if frame.m != 2:
-        raise NotImplementedError("symbolic frame inversion is implemented for m = 2")
-    chart = frame.chart
-    [det] = evaluate_grid_many([_det2(frame.entries)], chart)
+def _check_nonsingular(det: Expr, chart: Chart) -> None:
+    """The guard of a symbolic frame change: its determinant ``det`` must
+    not vanish at a grid sample."""
+    [det] = evaluate_grid_many([det], chart)
     scale = float(np.max(np.abs(det)))
     bad = np.abs(det) <= 1e-12 * (1.0 + scale)
     if bad.any():
@@ -297,9 +288,20 @@ def gauge_transform(theta: ConnectionMatrix, frame) -> "ConnectionMatrix | GridC
         return _gauge_transform_sampled(theta, frame)
     if theta.chart != frame.chart:
         raise ChartMismatch("connection and frame live on different charts")
-    _check_nonsingular(frame)
-    b = frame.entries
-    binv = _inverse2(b)
+    if frame.m != 2:
+        raise NotImplementedError("symbolic frame inversion is implemented for m = 2")
+    det = _det2(frame.entries)
+    _check_nonsingular(det, frame.chart)
+    return _gauge_transformed(theta, frame.entries, det)
+
+
+def _gauge_transformed(theta: ConnectionMatrix, b, det: Expr) -> ConnectionMatrix:
+    """The closed form of :func:`gauge_transform` for a 2x2 frame ``b`` of
+    determinant ``det`` known not to vanish."""
+    binv = (
+        (b[1][1] / det, -b[0][1] / det),
+        (-b[1][0] / det, b[0][0] / det),
+    )
     new_p = _mat_mul(binv, _mat_diff(b, "x"))
     new_q = _mat_mul(binv, _mat_diff(b, "y"))
     conj_p = _mat_mul(binv, _mat_mul(theta.p_matrix(), b))

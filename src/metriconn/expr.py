@@ -7,11 +7,14 @@ Expressions are immutable trees.  Simplification is deliberately limited to
 constant folding, absorption of additive zeros and multiplicative
 zeros/ones, and removal of double negation; the folded tree evaluates to the
 same value as the unfolded one wherever both are defined, and constants
-fold only to finite ones.  Derivatives are cached per node, so repeated
-differentiation builds a shared DAG rather than an exponentially growing
-tree.  No derivative of an inner node refers to that node (the derivative
-of ``exp(u)`` holds a fresh ``exp(u)``), so the caches make no reference
-cycles.  :func:`parse` shares structurally equal subtrees of one text.
+fold only to finite ones.  A constant-only node that is not a
+:class:`Const` is therefore a fold that failed, and neither a zero factor
+nor a zeroth power absorbs it: evaluation reports it.  Derivatives are
+cached per node, so repeated differentiation builds a shared DAG rather
+than an exponentially growing tree.  No derivative of an inner node refers
+to that node (the derivative of ``exp(u)`` holds a fresh ``exp(u)``), so
+the caches make no reference cycles.  :func:`parse` shares structurally
+equal subtrees of one text.
 
 Grid evaluation lowers all the roots of one call to a single tape
 (:func:`eval_grid_many`): a :class:`ValueNumbering` gives structurally
@@ -442,6 +445,32 @@ def _wrap(value) -> Expr:
     return Const(float(value))
 
 
+def _has_value(e: Expr) -> bool:
+    """Whether ``e`` is a :class:`Const` or depends on a variable.  Built
+    by the smart constructors, a constant-only node of another class is a
+    fold that failed.  The walk goes left first and stops at the first
+    variable it meets."""
+    if e.__class__ is Const:
+        return True
+    pending: list = []      # right operands not yet walked
+    node = e
+    while True:
+        cls = node.__class__
+        if cls is Var:
+            return True
+        if cls is Call or cls is Neg:
+            node = node.arg
+        elif cls is Pow:
+            node = node.base
+        elif cls is Const:
+            if not pending:
+                return False
+            node = pending.pop()
+        else:
+            pending.append(node.right)
+            node = node.left
+
+
 def _is_const(e: Expr, v: float) -> bool:
     return e.__class__ is Const and e.value == v
 
@@ -469,15 +498,25 @@ def _sub(a: Expr, b: Expr) -> Expr:
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
-    a_const, b_const = a.__class__ is Const, b.__class__ is Const
-    if a_const and b_const and math.isfinite(a.value * b.value):
-        return Const(a.value * b.value)
-    if (a_const and a.value == 0.0) or (b_const and b.value == 0.0):
-        return ZERO
-    if a_const and a.value == 1.0:
-        return b
-    if b_const and b.value == 1.0:
-        return a
+    """``a * b``.  A zero factor absorbs the other only when the other has
+    a value: a constant-only node that is not a :class:`Const` is a fold
+    that failed (an overflowing or undefined constant), and ``0 * (1/0)``
+    keeps it, so evaluation reports it.  A factor that is undefined only
+    somewhere on a chart, such as ``ln(x) * 0`` where ``x <= 0``, is still
+    absorbed; telling it apart needs an interval evaluation of the factor
+    over the chart."""
+    if a.__class__ is Const:
+        if b.__class__ is Const and math.isfinite(a.value * b.value):
+            return Const(a.value * b.value)
+        if a.value == 0.0 and _has_value(b):
+            return ZERO
+        if a.value == 1.0:
+            return b
+    if b.__class__ is Const:
+        if b.value == 0.0 and _has_value(a):
+            return ZERO
+        if b.value == 1.0:
+            return a
     return Mul(a, b)
 
 
@@ -501,7 +540,7 @@ def _neg(a: Expr) -> Expr:
 
 def _pow(base: Expr, exponent: float) -> Expr:
     e = float(exponent)
-    if e == 0.0:
+    if e == 0.0 and _has_value(base):
         return ONE
     if e == 1.0:
         return base
@@ -562,8 +601,22 @@ def cosh(e) -> Expr:
 
 
 def _int_power(n: int):
+    if n == 0:
+        # a base without a value stays without one (``nan ** 0`` is 1);
+        # ``_pow`` keeps a 0th power only of such a base
+        def zeroth(b):
+            return b * 0.0 + 1.0
+        return zeroth
+
     def power(b):
-        return np.power(b, n, dtype=float) if isinstance(b, np.ndarray) else float(b) ** n
+        if isinstance(b, np.ndarray):
+            return np.power(b, n, dtype=float)
+        try:
+            return float(b) ** n
+        except (OverflowError, ZeroDivisionError):
+            # a power of a constant that does not fold: infinite, as on
+            # arrays, and located by the domain check
+            return float(np.power(float(b), float(n)))
     return power
 
 
@@ -574,6 +627,9 @@ def _real_power(exponent: float):
 
 
 _BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+# on the tape a quotient by zero is infinite where two constants meet too:
+# ``1/0`` is a fold that failed, and the domain check locates it
+_GRID_BINARY = {**_BINARY_OPS, Div: np.true_divide}
 
 
 class ValueNumbering:
@@ -620,7 +676,7 @@ class ValueNumbering:
             n = node._int_exponent
             op = _int_power(n) if n is not None else _real_power(node.exponent)
             return self._new(op, args, None)
-        return self._new(_BINARY_OPS[cls], args, None)
+        return self._new(_GRID_BINARY[cls], args, None)
 
     def number(self, roots, opaque=None, known=None) -> list[int]:
         """Numbers of ``roots``, numbering every node below them without

@@ -11,8 +11,12 @@ caller control through ``Chart.grid``.
 Grid evaluation runs all the expressions of one call as one tape
 (:func:`metriconn.expr.eval_grid_many`).  Inside :func:`root_cache`, which
 :func:`metriconn.metrizability.check_metrizability` opens for the length of
-one check, the roots evaluated on a (chart, lattice) pair are kept and
-reused by the later evaluations on that pair.
+one check (and the functions of :mod:`metriconn.volume_euler` for one
+call), the roots evaluated on a (chart, lattice) pair are kept and reused
+by the later evaluations on that pair.  A caller that knows which roots
+its later stages will ask for runs them as one tape first with
+:func:`prefetch`: the stages share the intermediates of that tape, and
+each stage still checks its own roots, in its own order.
 
 The tape runs on open meshes, ``xs[:, None]`` and ``ys[None, :]``, so a
 node that depends on one coordinate is computed on that axis alone (shape
@@ -37,7 +41,8 @@ from .expr import Const, DomainError, Expr, ValueNumbering, eval_grid_many
 __all__ = [
     "Chart", "OneForm", "TwoForm",
     "d0", "d1", "wedge11", "integrate2", "line_integral",
-    "evaluate_grid", "evaluate_grid_many", "root_cache", "sup_norm", "grid_derivative",
+    "evaluate_grid", "evaluate_grid_many", "root_cache", "prefetch", "sup_norm",
+    "grid_derivative",
     "potential_on_grid", "generator_loop_integrals",
     "ZERO_ONE_FORM", "ZERO_TWO_FORM",
 ]
@@ -223,14 +228,47 @@ def root_cache():
     (chart, lattice) pair take the values of the roots already evaluated on
     that pair as finished leaves, so a later stage does not recompute the
     arrays of the stages before it.  Only roots are kept, never the
-    intermediates of a tape.  The cache lives in a context variable and is
-    gone when the block ends.
+    intermediates of a tape.  Roots evaluated ahead by :func:`prefetch` are
+    kept unchecked, and are checked by the evaluation that asks for them.
+    The cache lives in a context variable and is gone when the block ends;
+    a block opened while a cache is open joins that cache.
     """
+    if _ROOT_CACHE.get() is not None:
+        yield
+        return
     token = _ROOT_CACHE.set(_RootCache())
     try:
         yield
     finally:
         _ROOT_CACHE.reset(token)
+
+
+def _lattice(cache: _RootCache, chart: Chart, lattice: str) -> tuple:
+    """The open meshes and the known roots of a chart lattice in a cache."""
+    entry = cache.lattices.get((chart, lattice))
+    if entry is None:
+        entry = cache.lattices[(chart, lattice)] = (*_open_mesh(chart, lattice), {})
+    return entry
+
+
+def prefetch(exprs, chart: Chart, lattice: str = "mid") -> None:
+    """Evaluate roots ahead of the stages that ask for them.
+
+    ``exprs`` is an expression, a form, or any nesting of them, as for
+    :func:`sup_norm`.  Outside :func:`root_cache` this does nothing.
+    Inside it, all the roots run as one tape on the cache's numbering, so
+    an intermediate they share is computed once, and their raw values join
+    the lattice's known roots unchecked.  A later :func:`evaluate_grid_many` or
+    :func:`sup_norm` takes them as leaves and checks them then: a guard
+    that fails, or a DomainError, comes from the stage that asks, at the
+    point it names without the prefetch.
+    """
+    cache = _ROOT_CACHE.get()
+    if cache is None:
+        return
+    xs, ys, known = _lattice(cache, chart, lattice)
+    with np.errstate(all="ignore"):
+        eval_grid_many(_flatten_exprs(exprs), xs, ys, cache.numbering, known)
 
 
 def _checked(expr: Expr, raw, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -278,10 +316,7 @@ def evaluate_grid_many(exprs, chart: Chart, lattice: str = "mid") -> list[np.nda
     cache = _ROOT_CACHE.get()
     if cache is None:
         return _evaluate_on(exprs, *_open_mesh(chart, lattice))
-    entry = cache.lattices.get((chart, lattice))
-    if entry is None:
-        entry = cache.lattices[(chart, lattice)] = (*_open_mesh(chart, lattice), {})
-    xs, ys, known = entry
+    xs, ys, known = _lattice(cache, chart, lattice)
     return _evaluate_on(exprs, xs, ys, cache.numbering, known)
 
 

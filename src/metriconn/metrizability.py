@@ -36,6 +36,7 @@ from .forms import (
     evaluate_grid_many,
     generator_loop_integrals,
     potential_on_grid,
+    prefetch,
     root_cache,
     sup_norm,
 )
@@ -43,14 +44,15 @@ from .connection import (
     DEFAULT_TOLERANCES,
     ConnectionMatrix,
     CurvatureMatrix,
-    FrameChange,
     MetricField,
     Tolerances,
+    _check_nonsingular,
     _curvature_peak,
+    _det2,
+    _gauge_transformed,
     _parallel_frame,
     compatibility_residual,
     curvature,
-    gauge_transform,
     residual_sup,
     trace_connection,
 )
@@ -291,8 +293,13 @@ def spd_sqrt(s, chart: Chart):
     Raises :class:`NotSPD` if ``S`` is not SPD with unit determinant on the
     grid.
     """
-    s11, s12, s21, s22 = s[0][0], s[0][1], s[1][0], s[1][1]
-    a11, a12, a22 = evaluate_grid_many([s11, s12, s22], chart)
+    _check_spd_det_one(s, chart)
+    return _sqrt_form(s)
+
+
+def _check_spd_det_one(s, chart: Chart) -> None:
+    """The guard of :func:`spd_sqrt`."""
+    a11, a12, a22 = evaluate_grid_many([s[0][0], s[0][1], s[1][1]], chart)
     det = a11 * a22 - a12 * a12
     bad = (a11 <= 0.0) | (det <= 0.0)
     if bad.any():
@@ -301,6 +308,11 @@ def spd_sqrt(s, chart: Chart):
     if off.any():
         raise NotSPD(chart.first_point(off), f"det = {det[off][0]:.6g} != 1")
 
+
+def _sqrt_form(s):
+    """The closed form of :func:`spd_sqrt`, for an ``S`` known to pass its
+    guard."""
+    s11, s12, s21, s22 = s[0][0], s[0][1], s[1][0], s[1][1]
     denom = expr_sqrt(s11 + s22 + Const(2.0))
     q11 = (s11 + Const(1.0)) / denom
     q12 = s12 / denom
@@ -377,8 +389,16 @@ def check_metrizability(theta: ConnectionMatrix, chart: Chart | None = None, *,
 
     One root cache (:func:`~metriconn.forms.root_cache`) is open for the
     length of the call, so each stage takes the grid arrays of the
-    expressions the stages before it evaluated (``U`` inside ``S``, ``S``
-    inside ``A``) as finished leaves.
+    expressions the stages before it evaluated as finished leaves.  Once
+    the eigenvalue test passes, every root the later stages ask for (``S``,
+    the determinant of ``A``, the transformed connection and its
+    conditions, ``tr theta``, the metric and its compatibility residual)
+    runs as one tape (:func:`~metriconn.forms.prefetch`), so the
+    derivatives of ``S`` that the transformed connection and the residual
+    share are computed once.  The stages then check their roots in their
+    own order: a guard, a domain error or a verdict comes where it came
+    with one tape per stage.  The flat, inconclusive and eigenvalue-failure
+    verdicts return before that tape.
     """
     with root_cache():
         return _decide(theta, chart, tolerances, basepoint)
@@ -448,9 +468,9 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
         )
 
     s = _symmetrizer(tuple(tuple(f.r for f in row) for row in omega.entries))
-    a = spd_sqrt(s, chart)
-    frame = FrameChange(a, chart)
-    theta_prime = gauge_transform(theta, frame)
+    a = _sqrt_form(s)
+    det_a = _det2(a)
+    theta_prime = _gauge_transformed(theta, a, det_a)
 
     # In the transformed frame a metric connection is skew up to a multiple
     # of the identity: rescaling a frame by a scalar field adds d(log scale)
@@ -463,6 +483,16 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
     diag_diff = theta_prime.entries[0][0] - theta_prime.entries[1][1]
     condition_exprs = [off_diag.p, off_diag.q, diag_diff.p, diag_diff.q]
     prime_exprs = [e for row in theta_prime.entries for f in row for e in (f.p, f.q)]
+    metric = recover_metric(s)
+    tr_theta = trace_connection(theta)
+    residual = compatibility_residual(theta, metric)
+    # every root the stages below ask for, as one tape: the transformed
+    # connection and the residual share the derivatives of S.  Each stage
+    # still checks its own roots, in the order below.
+    prefetch([s, det_a, condition_exprs, prime_exprs, tr_theta, metric.entries, residual],
+             chart)
+    _check_spd_det_one(s, chart)
+    _check_nonsingular(det_a, chart)
     arrays = evaluate_grid_many(condition_exprs + prime_exprs, chart)
     condition_arrays = arrays[:len(condition_exprs)]
     prime_sup = max(float(np.max(np.abs(arr))) for arr in arrays[len(condition_exprs):])
@@ -482,8 +512,6 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
             tolerances=tol_echo,
         )
 
-    metric = recover_metric(s)
-    tr_theta = trace_connection(theta)
     trace_sup = sup_norm(tr_theta, chart)
     conformal = trace_sup > 1e-10 * (1.0 + theta_sup)
     notes = MetrizabilityReport.notes
@@ -494,7 +522,6 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
         # residual below certifies exactly that rescaled metric, since
         # d(e^L M) - theta^T e^L M - e^L M theta = e^L (dM + tr(theta) M
         # - theta^T M - M theta) and e^L > 0
-        residual = compatibility_residual(theta, metric)
         residual = tuple(
             tuple(
                 residual[i][j] + OneForm(tr_theta.p * metric.entries[i][j],
@@ -512,8 +539,6 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
             notes = notes + (
                 "nonzero conformal loop defect: the metric does not close up "
                 "around a periodic generator",)
-    else:
-        residual = compatibility_residual(theta, metric)
     compat = residual_sup(residual, chart)
     metric_sup = sup_norm(metric.entries, chart)
     compat_tol = tolerances.compat * (1.0 + metric_sup) * (1.0 + theta_sup)

@@ -11,6 +11,15 @@ For a connection with a chart-global compatible metric, the curvature in an
 orthonormalized frame is skew and its off-diagonal entry divided by ``2 pi``
 is the Euler 2-form; its integral is the Euler number used to compare
 metric-equivalent connections.
+
+Each public function runs in one root cache
+(:func:`~metriconn.forms.root_cache`); a call inside another joins its
+cache, so the two Euler forms of :func:`compare_euler` share the grid
+arrays of their metric.  :func:`euler_form` evaluates the roots of all its
+guards (the metric entries, the compatibility residual, the connection,
+the frame's determinant and the symmetric parts of the transformed
+connection) as one tape before the first guard, which still checks them
+in the old order.
 """
 
 from __future__ import annotations
@@ -29,15 +38,19 @@ from .forms import (
     grid_derivative,
     integrate2,
     potential_on_grid,
+    prefetch,
+    root_cache,
     sup_norm,
 )
 from .connection import (
     ConnectionMatrix,
     FrameChange,
     MetricField,
+    _check_nonsingular,
+    _det2,
+    _gauge_transformed,
     compatibility_residual,
     curvature,
-    gauge_transform,
     trace_connection,
     trace_curvature,
 )
@@ -84,6 +97,11 @@ def volume_criterion(theta: ConnectionMatrix, *,
                      basepoint=None) -> VolumeReport:
     """Test whether the connection preserves a local volume form and, when it
     does, integrate ``tr theta`` from the basepoint to produce ``log f``."""
+    with root_cache():
+        return _volume(theta, tolerances, basepoint)
+
+
+def _volume(theta: ConnectionMatrix, tolerances: Tolerances, basepoint) -> VolumeReport:
     chart = theta.chart
     tr_theta = trace_connection(theta)
     tr_omega = trace_curvature(curvature(theta))
@@ -118,10 +136,9 @@ class EulerReport:
     skew_residual: float
 
 
-def _require_compatible(theta: ConnectionMatrix, metric: MetricField, label: str,
-                        tolerances: Tolerances) -> None:
+def _require_compatible(theta: ConnectionMatrix, metric: MetricField, residual,
+                        label: str, tolerances: Tolerances) -> None:
     chart = theta.chart
-    residual = compatibility_residual(theta, metric)
     value = sup_norm(residual, chart)
     tol = (tolerances.compat
            * (1.0 + sup_norm(metric.entries, chart))
@@ -130,9 +147,10 @@ def _require_compatible(theta: ConnectionMatrix, metric: MetricField, label: str
         raise NotCompatible(label, value, tol)
 
 
-def _orthonormal_frame(metric: MetricField, chart: Chart) -> FrameChange:
-    """Frame change making the metric the identity: the inverse transpose of
-    the lower-triangular square root of ``G`` (closed 2x2 form)."""
+def _orthonormal_frame(metric: MetricField):
+    """Entries of the frame change making the metric the identity: the
+    inverse transpose of the lower-triangular square root of ``G`` (closed
+    2x2 form)."""
     (g11, g12), (_, g22) = metric.entries
     l11 = expr_sqrt(g11)
     l21 = g12 / l11
@@ -140,7 +158,7 @@ def _orthonormal_frame(metric: MetricField, chart: Chart) -> FrameChange:
     inv_l11 = Const(1.0) / l11
     inv_l22 = Const(1.0) / l22
     upper = (-(l21) / (l11 * l22))
-    return FrameChange(((inv_l11, upper), (Const(0.0), inv_l22)), chart)
+    return ((inv_l11, upper), (Const(0.0), inv_l22))
 
 
 def euler_form(theta: ConnectionMatrix, metric: MetricField, *,
@@ -152,33 +170,45 @@ def euler_form(theta: ConnectionMatrix, metric: MetricField, *,
     its tolerance, and :class:`ValueError` if the metric is not positive
     definite on the grid.
     """
-    chart = theta.chart
-    witness = metric.spd_witness(chart)
-    if witness is not None:
-        raise ValueError(f"metric is not positive definite near {witness}")
-    _require_compatible(theta, metric, label, tolerances)
+    with root_cache():
+        return _euler(theta, metric, tolerances, label)
 
-    frame = _orthonormal_frame(metric, chart)
-    theta_prime = gauge_transform(theta, frame)
+
+def _euler(theta: ConnectionMatrix, metric: MetricField, tolerances: Tolerances,
+           label: str) -> EulerReport:
+    chart = theta.chart
+    frame = _orthonormal_frame(metric)
+    residual = compatibility_residual(theta, metric)
+    det = _det2(frame)
+    theta_prime = _gauge_transformed(theta, frame, det)
     sym = []
     for i in range(2):
         for j in range(i, 2):
             form = theta_prime.entries[i][j] + theta_prime.entries[j][i]
             sym.extend([form.p, form.q])
+    # the roots of every guard below as one tape; each guard checks its own
+    prefetch([metric.entries, residual, theta.entries, det, sym], chart)
+    witness = metric.spd_witness(chart)
+    if witness is not None:
+        raise ValueError(f"metric is not positive definite near {witness}")
+    _require_compatible(theta, metric, residual, label, tolerances)
+    _check_nonsingular(det, chart)
     skew_residual = float(max(np.max(np.abs(a)) for a in evaluate_grid_many(sym, chart)))
     omega_prime = curvature(theta_prime)
     form = TwoForm(omega_prime.entries[0][1].r * Const(1.0 / (2.0 * math.pi)))
     number = integrate2(form, chart)
-    return EulerReport(form, number, frame, skew_residual)
+    return EulerReport(form, number, FrameChange(frame, chart), skew_residual)
 
 
 def compare_euler(theta1: ConnectionMatrix, theta2: ConnectionMatrix,
                   metric: MetricField, *,
                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Absolute difference of the Euler numbers of two connections sharing a
-    chart-global compatible metric."""
+    chart-global compatible metric.  Both Euler forms are computed in one
+    root cache, so the metric's arrays are evaluated once."""
     if theta1.chart != theta2.chart:
         raise ValueError("connections must share a chart to be compared")
-    first = euler_form(theta1, metric, tolerances=tolerances, label="first connection")
-    second = euler_form(theta2, metric, tolerances=tolerances, label="second connection")
+    with root_cache():
+        first = euler_form(theta1, metric, tolerances=tolerances, label="first connection")
+        second = euler_form(theta2, metric, tolerances=tolerances, label="second connection")
     return abs(first.euler_number - second.euler_number)

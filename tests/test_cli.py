@@ -321,6 +321,27 @@ def test_overflowing_constants_are_located(tmp_path):
     assert err == "error: overflow at (0.03125, 0.03125) while evaluating 1e+200*1e+200\n"
 
 
+@pytest.mark.parametrize("coefficient,named", [
+    ("x + 0*(1/0)", "division by zero at (1.03125, 0.03125) while evaluating 1.0/0.0"),
+    ("x + 1e200*1e200*0", "overflow at (1.03125, 0.03125) while evaluating 1e+200*1e+200"),
+    ("x + (1/0)^0", "division by zero at (1.03125, 0.03125) while evaluating 1.0/0.0"),
+    ("x + 1/0", "division by zero at (1.03125, 0.03125) while evaluating 1.0/0.0"),
+    ("x + (1e200)^2*y", "overflow at (1.03125, 0.03125) while evaluating 1e+200^2.0"),
+    ("x + 0^(-1)*y",
+     "zero base with negative exponent at (1.03125, 0.03125) while evaluating 0.0^(-1.0)"),
+])
+def test_an_undefined_constant_is_named(tmp_path, coefficient, named):
+    # a zero factor or a zeroth power absorbed the first three, so the
+    # coefficient read as x (or x + 1) and the check gave a verdict; the
+    # last three failed with a bare Python error that named no constant
+    spec = _spec(tmp_path, "hidden.conn", f"theta.1.2.dy = {coefficient}\ntheta.2.1.dy = -x",
+                 chart="x = 1 .. 2\ny = 0 .. 1\ngrid = 16 16\n")
+    for argv in (["check", spec], ["check", spec, "--json"]):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: {named}\n"
+
+
 def test_overflowing_literal_is_an_input_error(tmp_path):
     # it folded to inf and was reported as a non-finite value of 'x + inf*x'
     spec = _spec(tmp_path, "literal.conn", "theta.1.2.dy = x + 1e999*x\ntheta.2.1.dy = -x",

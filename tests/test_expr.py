@@ -185,6 +185,34 @@ def test_constant_folding_preserves_values():
             assert folded.eval(x, y) == e.eval(x, y)
 
 
+@pytest.mark.parametrize("text,kept", [
+    ("x + 0*(1/0)", "x + 0.0*(1.0/0.0)"),
+    ("x + 1e200*1e200*0", "x + 1e+200*1e+200*0.0"),
+    ("0*(1/0 + 1)", "0.0*(1.0/0.0 + 1.0)"),
+    ("x + (1/0)^0", "x + (1.0/0.0)^0.0"),
+    ("x + (1e200*1e200)^0", "x + (1e+200*1e+200)^0.0"),
+])
+def test_a_zero_does_not_absorb_a_failed_fold(text, kept):
+    e = parse(text)
+    assert to_source(e) == kept
+    # the grid does not hide the constant either: no sample is finite
+    xs = np.linspace(1.0, 2.0, 3)
+    with np.errstate(all="ignore"):
+        [values] = eval_grid_many([e], xs, xs)
+    assert not np.any(np.isfinite(values))
+
+
+@pytest.mark.parametrize("text,folded", [
+    ("0*x", "0.0"), ("x*0", "0.0"), ("0*sin(y)*x", "0.0"), ("x^0", "1.0"),
+    ("sin(x*y)^0", "1.0"), ("0*(1e200*1e200*x)", "0.0"),
+    # undefined only where x <= 0: absorbed, out of reach without an
+    # interval evaluation over the chart
+    ("ln(x)*0", "0.0"),
+])
+def test_a_zero_absorbs_a_factor_that_has_a_value(text, folded):
+    assert to_source(parse(text)) == folded
+
+
 def test_print_parse_round_trip():
     rng = np.random.default_rng(23)
     corpus = [random_safe_expr(rng, depth=4) for _ in range(60)]
