@@ -84,9 +84,13 @@ class DomainError(ArithmeticError):
 
 
 class Expr:
-    """Base class for expression nodes.  Instances are immutable and pure."""
+    """Base class for expression nodes.  Instances are immutable and pure.
 
-    __slots__ = ("_dcache",)
+    ``_varying`` is whether a node depends on a variable; each node sets it
+    from its operands when it is built.
+    """
+
+    __slots__ = ("_dcache", "_varying")
 
     # evaluation -----------------------------------------------------------
 
@@ -224,6 +228,7 @@ class Expr:
 
 class Const(Expr):
     __slots__ = ("value",)
+    _varying = False
 
     def __init__(self, value: float):
         self.value = float(value)
@@ -231,6 +236,7 @@ class Const(Expr):
 
 class Var(Expr):
     __slots__ = ("name",)
+    _varying = True
 
     def __init__(self, name: str):
         if name not in ("x", "y"):
@@ -245,6 +251,7 @@ class Neg(Expr):
     def __init__(self, arg: Expr):
         self.arg = arg
         self._dcache = None
+        self._varying = arg._varying
 
 
 class _Binary(Expr):
@@ -254,6 +261,7 @@ class _Binary(Expr):
         self.left = left
         self.right = right
         self._dcache = None
+        self._varying = left._varying or right._varying
 
 
 class Add(_Binary):
@@ -285,6 +293,7 @@ class Pow(Expr):
         self.base = base
         self.exponent = float(exponent)
         self._dcache = None
+        self._varying = base._varying
         self._int_exponent = (
             int(self.exponent)
             if self.exponent.is_integer() and abs(self.exponent) < 2**31
@@ -301,6 +310,7 @@ class Call(Expr):
         self.name = name
         self.arg = arg
         self._dcache = None
+        self._varying = arg._varying
 
 
 def _operands(e: Expr) -> tuple:
@@ -448,27 +458,8 @@ def _wrap(value) -> Expr:
 def _has_value(e: Expr) -> bool:
     """Whether ``e`` is a :class:`Const` or depends on a variable.  Built
     by the smart constructors, a constant-only node of another class is a
-    fold that failed.  The walk goes left first and stops at the first
-    variable it meets."""
-    if e.__class__ is Const:
-        return True
-    pending: list = []      # right operands not yet walked
-    node = e
-    while True:
-        cls = node.__class__
-        if cls is Var:
-            return True
-        if cls is Call or cls is Neg:
-            node = node.arg
-        elif cls is Pow:
-            node = node.base
-        elif cls is Const:
-            if not pending:
-                return False
-            node = pending.pop()
-        else:
-            pending.append(node.right)
-            node = node.left
+    fold that failed."""
+    return e._varying or e.__class__ is Const
 
 
 def _is_const(e: Expr, v: float) -> bool:

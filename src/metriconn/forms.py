@@ -251,8 +251,9 @@ def _lattice(cache: _RootCache, chart: Chart, lattice: str) -> tuple:
     return entry
 
 
-def prefetch(exprs, chart: Chart, lattice: str = "mid") -> None:
-    """Evaluate roots ahead of the stages that ask for them.
+def prefetch(exprs, chart: Chart) -> None:
+    """Evaluate roots ahead of the stages that ask for them, on the
+    ``"mid"`` lattice.
 
     ``exprs`` is an expression, a form, or any nesting of them, as for
     :func:`sup_norm`.  Outside :func:`root_cache` this does nothing.
@@ -266,7 +267,7 @@ def prefetch(exprs, chart: Chart, lattice: str = "mid") -> None:
     cache = _ROOT_CACHE.get()
     if cache is None:
         return
-    xs, ys, known = _lattice(cache, chart, lattice)
+    xs, ys, known = _lattice(cache, chart, "mid")
     with np.errstate(all="ignore"):
         eval_grid_many(_flatten_exprs(exprs), xs, ys, cache.numbering, known)
 

@@ -12,7 +12,7 @@ orthonormalized frame is skew and its off-diagonal entry divided by ``2 pi``
 is the Euler 2-form; its integral is the Euler number used to compare
 metric-equivalent connections.
 
-Each public function runs in one root cache
+:func:`euler_form` and :func:`compare_euler` each run in one root cache
 (:func:`~metriconn.forms.root_cache`); a call inside another joins its
 cache, so the two Euler forms of :func:`compare_euler` share the grid
 arrays of their metric.  :func:`euler_form` evaluates the roots of all its
@@ -97,11 +97,6 @@ def volume_criterion(theta: ConnectionMatrix, *,
                      basepoint=None) -> VolumeReport:
     """Test whether the connection preserves a local volume form and, when it
     does, integrate ``tr theta`` from the basepoint to produce ``log f``."""
-    with root_cache():
-        return _volume(theta, tolerances, basepoint)
-
-
-def _volume(theta: ConnectionMatrix, tolerances: Tolerances, basepoint) -> VolumeReport:
     chart = theta.chart
     tr_theta = trace_connection(theta)
     tr_omega = trace_curvature(curvature(theta))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -211,6 +212,27 @@ def test_a_zero_does_not_absorb_a_failed_fold(text, kept):
 ])
 def test_a_zero_absorbs_a_factor_that_has_a_value(text, folded):
     assert to_source(parse(text)) == folded
+
+
+DEEP = 10_000
+
+
+@pytest.mark.parametrize("text", [
+    "sin(" * DEEP + "x" + ")" * DEEP,
+    "*".join(["x"] * DEEP),
+], ids=["nested calls", "product"])
+def test_a_deep_expression_differentiates_in_a_variable_it_lacks(text):
+    # each rule multiplies a factor by an operand's derivative, the constant
+    # 0; whether that factor has a value is known without walking below it,
+    # so this walk costs about what the one in x costs (a walk below each
+    # factor made it quadratic in the depth: seconds, against milliseconds)
+    start = time.perf_counter()
+    assert to_source(parse(text).diff("y")) == "0.0"
+    in_y = time.perf_counter() - start
+    start = time.perf_counter()
+    parse(text).diff("x")
+    in_x = time.perf_counter() - start
+    assert in_y <= 5.0 * in_x + 0.25
 
 
 def test_print_parse_round_trip():
