@@ -371,7 +371,9 @@ def interpolate(theta: ConnectionMatrix, psi: ConnectionMatrix, t: float) -> Con
 @dataclass(frozen=True)
 class ParallelFrame:
     """Grid-sampled frame ``B`` with ``dB = -theta B`` and ``B = I`` at the
-    basepoint, stored on the node lattice as ``values[i, j] = B(x_i, y_j)``.
+    basepoint, stored on the node lattice as ``values[i, j] = B(x_i, y_j)``
+    (:func:`parallel_frame_flat` gives a view of contiguous component
+    planes, ``values[..., k, l]`` being the plane of entry ``(k, l)``).
 
     ``residual_max`` is the largest node residual of ``dB + theta B`` under
     sixth-order finite differences.  ``loop_x`` / ``loop_y`` hold the
@@ -400,16 +402,17 @@ class ParallelFrame:
 
     def metric_samples(self) -> np.ndarray:
         """The parallel metric ``(B B^T)^-1 = B^-T B^-1`` at every node, in
-        the 2x2 closed form."""
+        the 2x2 closed form, computed on component planes: the result is
+        an ``(nx, ny, 2, 2)`` view of contiguous ``(2, 2, nx, ny)`` planes."""
         a, b = self.values[..., 0, 0], self.values[..., 0, 1]
         c, d = self.values[..., 1, 0], self.values[..., 1, 1]
         det = a * d - b * c
         det2 = det * det
-        out = np.empty(self.values.shape)
-        out[..., 0, 0] = (c * c + d * d) / det2
-        out[..., 0, 1] = out[..., 1, 0] = -(a * c + b * d) / det2
-        out[..., 1, 1] = (a * a + b * b) / det2
-        return out
+        out = np.empty((2, 2) + self.values.shape[:2])
+        out[0, 0] = (c * c + d * d) / det2
+        out[0, 1] = out[1, 0] = -(a * c + b * d) / det2
+        out[1, 1] = (a * a + b * b) / det2
+        return np.moveaxis(out, (0, 1), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -452,8 +455,11 @@ def _coefficient_samples(coeffs, xs, ys) -> np.ndarray:
 
 def _mul(a, b):
     """2x2 matrix product of component arrays: entry ``[i, j]`` of an
-    operand is an array over its batch, so the product is elementwise."""
-    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+    operand is an array over its batch, so the product is elementwise.
+    The four products ``a[i, k] b[k, j]`` are one broadcast, summed over
+    ``k`` in one add."""
+    prod = a[:, :, None] * b
+    return prod[:, 0] + prod[:, 1]
 
 
 def _transport(legs) -> list:
@@ -601,34 +607,40 @@ def _parallel_frame(theta: ConnectionMatrix, basepoint) -> ParallelFrame:
         loops["y"] = (theta.q_matrix(), False, yb, chart.hy, chart.ny, [xb], eye)
     with np.errstate(over="ignore", invalid="ignore"):   # reported just below
         sweep, looped = _sweep(theta, basepoint, riders=list(loops.values()))
-        values = np.ascontiguousarray(np.moveaxis(sweep, (0, 1), (2, 3)))
-        residuals = _frame_residuals(theta, values)
-    if not all(np.all(np.isfinite(arr)) for arr in (values, *residuals)):
+        planes = np.ascontiguousarray(sweep)
+        residuals = _frame_residuals(theta, planes)
+    if not all(np.all(np.isfinite(arr)) for arr in (planes, *residuals)):
         raise ArithmeticError("the parallel frame is not finite on the grid: "
                               "RK4 transport overflowed")
     residual = max(float(np.max(np.abs(res))) for res in residuals)
     ends = {axis: out[-1, ..., 0] for axis, out in zip(loops, looped)}
-    return ParallelFrame(chart, basepoint, values, residual, ends.get("x"), ends.get("y"))
+    return ParallelFrame(chart, basepoint, np.moveaxis(planes, (0, 1), (2, 3)), residual,
+                         ends.get("x"), ends.get("y"))
 
 
-def _frame_residuals(theta: ConnectionMatrix, values: np.ndarray) -> list:
-    """``dB + theta B`` at the nodes, the x and the y part, each shaped like
-    ``values``.  The frame need not be periodic even on a periodic chart, so
-    one-sided stencils are used."""
+def _frame_residuals(theta: ConnectionMatrix, planes: np.ndarray) -> list:
+    """``dB + theta B`` at the nodes, the x and the y part, for a frame
+    given as component planes of shape ``(2, 2, nx, ny)``; each residual
+    has that shape, and is contiguous when ``planes`` is.  The frame need
+    not be periodic even on a periodic chart, so one-sided stencils are
+    used."""
     chart = theta.chart
     xs, ys = chart.xs("node")[:, None], chart.ys("node")[None, :]
-    frames = np.moveaxis(values, (2, 3), (0, 1))
-    return [grid_derivative(values, h, axis, periodic=False)
-            + np.moveaxis(_mul(_coefficient_samples(coeffs, xs, ys), frames), (0, 1), (2, 3))
-            for coeffs, h, axis in ((theta.p_matrix(), chart.hx, 0),
-                                    (theta.q_matrix(), chart.hy, 1))]
+    out = []
+    for coeffs, h, axis in ((theta.p_matrix(), chart.hx, 0), (theta.q_matrix(), chart.hy, 1)):
+        res = grid_derivative(planes, h, axis + 2, periodic=False)
+        res += _mul(_coefficient_samples(coeffs, xs, ys), planes)
+        out.append(res)
+    return out
 
 
 def _gauge_transform_sampled(theta: ConnectionMatrix, frame: ParallelFrame) -> GridConnection:
     if theta.chart != frame.chart:
         raise ChartMismatch("connection and frame live on different charts")
     binv = np.linalg.inv(frame.values)
-    new_p, new_q = (binv @ res for res in _frame_residuals(theta, frame.values))
+    planes = np.moveaxis(frame.values, (2, 3), (0, 1))
+    new_p, new_q = (binv @ np.ascontiguousarray(np.moveaxis(res, (0, 1), (2, 3)))
+                    for res in _frame_residuals(theta, planes))
     return GridConnection(new_p, new_q, theta.chart)
 
 

@@ -12,11 +12,15 @@ Grid evaluation runs all the expressions of one call as one tape
 (:func:`metriconn.expr.eval_grid_many`).  Inside :func:`root_cache`, which
 :func:`metriconn.metrizability.check_metrizability` opens for the length of
 one check (and the functions of :mod:`metriconn.volume_euler` for one
-call), the roots evaluated on a (chart, lattice) pair are kept and reused
-by the later evaluations on that pair.  A caller that knows which roots
-its later stages will ask for runs them as one tape first with
-:func:`prefetch`: the stages share the intermediates of that tape, and
-each stage still checks its own roots, in its own order.
+call), the cache is the evaluation context of the call: every evaluation
+in it, on a named lattice, in :func:`integrate2`, :func:`line_integral` or
+:func:`potential_on_grid`, numbers its expressions on the cache's one
+value numbering, so a node is numbered once per call.  The roots
+evaluated on a (chart, lattice) pair are kept and reused by the later
+evaluations on that pair.  A caller that knows which roots its later
+stages will ask for runs them as one tape first with :func:`prefetch`: the
+stages share the intermediates of that tape, and each stage still checks
+its own roots, in its own order.
 
 The tape runs on open meshes, ``xs[:, None]`` and ``ys[None, :]``, so a
 node that depends on one coordinate is computed on that axis alone (shape
@@ -209,8 +213,8 @@ def wedge11(a: OneForm, b: OneForm) -> TwoForm:
 
 
 class _RootCache:
-    """The grid values of every root evaluated on a chart lattice while the
-    cache is open, under one value numbering shared by all lattices."""
+    """The value numbering of every evaluation while the cache is open,
+    and the grid values of every root evaluated on a chart lattice."""
 
     def __init__(self):
         self.numbering = ValueNumbering()
@@ -224,12 +228,16 @@ _ROOT_CACHE: ContextVar[_RootCache | None] = ContextVar("metriconn_root_cache", 
 def root_cache():
     """Open a root cache for the length of the block.
 
-    Inside it, :func:`evaluate_grid` and :func:`evaluate_grid_many` on a
-    (chart, lattice) pair take the values of the roots already evaluated on
-    that pair as finished leaves, so a later stage does not recompute the
-    arrays of the stages before it.  Only roots are kept, never the
-    intermediates of a tape.  Roots evaluated ahead by :func:`prefetch` are
-    kept unchecked, and are checked by the evaluation that asks for them.
+    The cache owns the value numbering of every grid evaluation in the
+    block, quadratures and potentials included, so a node built once is
+    numbered once.  :func:`evaluate_grid` and :func:`evaluate_grid_many` on
+    a (chart, lattice) pair, and :func:`integrate2` on a chart periodic in
+    both axes, take the values of the roots already evaluated on that pair
+    as finished leaves, so a later stage does not recompute the arrays of
+    the stages before it.  Only roots are kept, never the intermediates of
+    a tape, and only on named lattices.  Roots evaluated ahead by
+    :func:`prefetch` are kept unchecked, and are checked by the evaluation
+    that asks for them.
     The cache lives in a context variable and is gone when the block ends;
     a block opened while a cache is open joins that cache.
     """
@@ -289,9 +297,12 @@ def _checked(expr: Expr, raw, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.broadcast_to(raw, shape)
 
 
-def _evaluate_on(exprs, xs: np.ndarray, ys: np.ndarray,
-                 numbering=None, known=None) -> list[np.ndarray]:
-    """Evaluate expressions on open meshes as one tape, checked in order."""
+def _evaluate_on(exprs, xs: np.ndarray, ys: np.ndarray, known=None) -> list[np.ndarray]:
+    """Evaluate expressions on open meshes as one tape, checked in order,
+    on the numbering of the open root cache if there is one.  ``known``
+    holds the roots already evaluated on these meshes."""
+    cache = _ROOT_CACHE.get()
+    numbering = cache.numbering if cache is not None else None
     with np.errstate(all="ignore"):
         raws = eval_grid_many(exprs, xs, ys, numbering, known)
     return [_checked(e, raw, xs, ys) for e, raw in zip(exprs, raws)]
@@ -317,8 +328,7 @@ def evaluate_grid_many(exprs, chart: Chart, lattice: str = "mid") -> list[np.nda
     cache = _ROOT_CACHE.get()
     if cache is None:
         return _evaluate_on(exprs, *_open_mesh(chart, lattice))
-    xs, ys, known = _lattice(cache, chart, lattice)
-    return _evaluate_on(exprs, xs, ys, cache.numbering, known)
+    return _evaluate_on(exprs, *_lattice(cache, chart, lattice))
 
 
 def _open_mesh(chart: Chart, lattice: str) -> tuple[np.ndarray, np.ndarray]:
@@ -384,11 +394,18 @@ def integrate2(w: TwoForm, chart: Chart) -> float:
     """Integrate a 2-form over the chart.
 
     Weights are applied with a dot-product reduction (pairwise summation),
-    so the result is deterministic for a given grid.
+    so the result is deterministic for a given grid.  On a chart periodic
+    in both axes the quadrature nodes are the ``"mid"`` lattice, so the
+    integrand is evaluated there with :func:`evaluate_grid_many`: inside
+    :func:`root_cache` a root evaluated (or prefetched) on that lattice is
+    taken as it is.
     """
     xq, wx = _axis_rule(chart.x_range[0], chart.hx, chart.nx, chart.periodic_x)
     yq, wy = _axis_rule(chart.y_range[0], chart.hy, chart.ny, chart.periodic_y)
-    [values] = _evaluate_on([w.r], xq[:, None], yq[None, :])
+    if chart.periodic_x and chart.periodic_y:
+        [values] = evaluate_grid_many([w.r], chart)
+    else:
+        [values] = _evaluate_on([w.r], xq[:, None], yq[None, :])
     return float(wx @ _stored(values) @ wy)
 
 
@@ -511,18 +528,24 @@ def grid_derivative(values: np.ndarray, h: float, axis: int, periodic: bool) -> 
     n = field.shape[0]
     if n < 7:
         raise ValueError("need at least 7 samples along the axis")
-    out = np.zeros_like(field)
+    out = np.zeros_like(field)      # in the memory order of ``values``, as is the result
     if periodic:
         for k, c in enumerate(_CENTRAL7):
             if c != 0.0:
-                out += c * np.roll(field, 3 - k, axis=0)
+                term = np.roll(field, 3 - k, axis=0)
+                term *= c
+                out += term
     else:
+        inner = out[3:n - 3]
+        term = np.empty_like(inner)
         for k, c in enumerate(_CENTRAL7):
             if c != 0.0:
-                out[3:n - 3] += c * field[k:n - 6 + k]
+                np.multiply(field[k:n - 6 + k], c, out=term)
+                inner += term
         for pos in range(3):
             w_lo = _onesided_weights(pos)
             w_hi = _onesided_weights(6 - pos)
             out[pos] = np.tensordot(w_lo, field[:7], axes=(0, 0))
             out[n - 1 - pos] = np.tensordot(w_hi, field[n - 7:], axes=(0, 0))
-    return np.moveaxis(out / h, 0, axis)
+    out /= h
+    return np.moveaxis(out, 0, axis)

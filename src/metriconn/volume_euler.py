@@ -12,14 +12,18 @@ orthonormalized frame is skew and its off-diagonal entry divided by ``2 pi``
 is the Euler 2-form; its integral is the Euler number used to compare
 metric-equivalent connections.
 
-:func:`euler_form` and :func:`compare_euler` each run in one root cache
-(:func:`~metriconn.forms.root_cache`); a call inside another joins its
-cache, so the two Euler forms of :func:`compare_euler` share the grid
-arrays of their metric.  :func:`euler_form` evaluates the roots of all its
-guards (the metric entries, the compatibility residual, the connection,
-the frame's determinant and the symmetric parts of the transformed
-connection) as one tape before the first guard, which still checks them
-in the old order.
+:func:`volume_criterion`, :func:`euler_form` and :func:`compare_euler`
+each run in one root cache (:func:`~metriconn.forms.root_cache`), the
+evaluation context of the call: every grid evaluation in it, quadratures,
+line integrals and potentials included, numbers its expressions on the
+cache's one numbering.  A call inside another joins its cache, so the two
+Euler forms of :func:`compare_euler` share the grid arrays of their
+metric.  :func:`euler_form` evaluates the roots of all its guards (the
+metric entries, the compatibility residual, the connection, the frame's
+determinant and the symmetric parts of the transformed connection) as
+one tape before the first guard, which still checks them in the old
+order; on a chart periodic in both axes the Euler integrand joins that
+tape, so it shares the intermediates of the transformed connection.
 """
 
 from __future__ import annotations
@@ -97,9 +101,15 @@ def volume_criterion(theta: ConnectionMatrix, *,
                      basepoint=None) -> VolumeReport:
     """Test whether the connection preserves a local volume form and, when it
     does, integrate ``tr theta`` from the basepoint to produce ``log f``."""
+    with root_cache():
+        return _volume(theta, tolerances, basepoint)
+
+
+def _volume(theta: ConnectionMatrix, tolerances: Tolerances, basepoint) -> VolumeReport:
     chart = theta.chart
     tr_theta = trace_connection(theta)
     tr_omega = trace_curvature(curvature(theta))
+    prefetch([tr_omega, tr_theta], chart)
     [tr_curv] = evaluate_grid_many([tr_omega.r], chart)
     trace_max = float(np.max(np.abs(tr_curv)))
     scale = 1.0 + sup_norm(tr_theta, chart)
@@ -181,16 +191,20 @@ def _euler(theta: ConnectionMatrix, metric: MetricField, tolerances: Tolerances,
         for j in range(i, 2):
             form = theta_prime.entries[i][j] + theta_prime.entries[j][i]
             sym.extend([form.p, form.q])
-    # the roots of every guard below as one tape; each guard checks its own
-    prefetch([metric.entries, residual, theta.entries, det, sym], chart)
+    omega_prime = curvature(theta_prime)
+    form = TwoForm(omega_prime.entries[0][1].r * Const(1.0 / (2.0 * math.pi)))
+    # the roots of every guard below as one tape, with the integrand where
+    # the quadrature samples the "mid" lattice; each guard checks its own
+    roots = [metric.entries, residual, theta.entries, det, sym]
+    if chart.periodic_x and chart.periodic_y:
+        roots.append(form)
+    prefetch(roots, chart)
     witness = metric.spd_witness(chart)
     if witness is not None:
         raise ValueError(f"metric is not positive definite near {witness}")
     _require_compatible(theta, metric, residual, label, tolerances)
     _check_nonsingular(det, chart)
     skew_residual = float(max(np.max(np.abs(a)) for a in evaluate_grid_many(sym, chart)))
-    omega_prime = curvature(theta_prime)
-    form = TwoForm(omega_prime.entries[0][1].r * Const(1.0 / (2.0 * math.pi)))
     number = integrate2(form, chart)
     return EulerReport(form, number, FrameChange(frame, chart), skew_residual)
 

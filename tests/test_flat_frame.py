@@ -7,16 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metriconn import connection
 from metriconn.connection import (
     DEFAULT_TOLERANCES,
     ConnectionMatrix,
     NotFlat,
+    _coefficient_samples,
+    _frame_residuals,
     _sweep,
     _transport,
+    gauge_transform,
     parallel_frame_flat,
 )
 from metriconn.expr import Const, X
-from metriconn.forms import Chart, OneForm
+from metriconn.forms import _CENTRAL7, Chart, OneForm, _onesided_weights
 from metriconn.gallery import torus_example
 from metriconn.metrizability import Verdict, check_metrizability
 from metriconn.specfile import load_spec
@@ -160,3 +164,70 @@ def test_frame_loops_equal_single_leg_runs(basepoint):
     sweep, ridden = _sweep(theta, frame.basepoint)
     assert ridden == []
     assert _bits(frame.values) == _bits(np.moveaxis(sweep, (0, 1), (2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the frame on component planes against the formulas it replaced
+
+
+def _matrix_product(a, b):
+    # the component product as it was written before the broadcast
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+
+
+def _one_sided_derivative(values, h, axis):
+    # grid_derivative(periodic=False) with a fresh array for every term
+    field = np.moveaxis(values, axis, 0)
+    n = field.shape[0]
+    out = np.zeros_like(field)
+    for k, c in enumerate(_CENTRAL7):
+        if c != 0.0:
+            out[3:n - 3] += c * field[k:n - 6 + k]
+    for pos in range(3):
+        out[pos] = np.tensordot(_onesided_weights(pos), field[:7], axes=(0, 0))
+        out[n - 1 - pos] = np.tensordot(_onesided_weights(6 - pos), field[n - 7:], axes=(0, 0))
+    return np.moveaxis(out / h, 0, axis)
+
+
+def _frame_on_matrices(theta, basepoint, monkeypatch):
+    """Frame values, residuals and metric computed on ``(nx, ny, 2, 2)``
+    matrices, each node's matrix contiguous."""
+    with monkeypatch.context() as patch:
+        patch.setattr(connection, "_mul", _matrix_product)
+        sweep, _ = _sweep(theta, basepoint)
+    values = np.ascontiguousarray(np.moveaxis(sweep, (0, 1), (2, 3)))
+    frames = np.moveaxis(values, (2, 3), (0, 1))
+    chart = theta.chart
+    xs, ys = chart.xs("node")[:, None], chart.ys("node")[None, :]
+    residuals = [_one_sided_derivative(values, h, axis)
+                 + np.moveaxis(_matrix_product(_coefficient_samples(coeffs, xs, ys), frames),
+                               (0, 1), (2, 3))
+                 for coeffs, h, axis in ((theta.p_matrix(), chart.hx, 0),
+                                         (theta.q_matrix(), chart.hy, 1))]
+    a, b = values[..., 0, 0], values[..., 0, 1]
+    c, d = values[..., 1, 0], values[..., 1, 1]
+    det2 = (a * d - b * c) ** 2
+    metric = np.empty(values.shape)
+    metric[..., 0, 0] = (c * c + d * d) / det2
+    metric[..., 0, 1] = metric[..., 1, 0] = -(a * c + b * d) / det2
+    metric[..., 1, 1] = (a * a + b * b) / det2
+    return values, residuals, metric
+
+
+@pytest.mark.parametrize("grid,basepoint", [((64, 64), None), ((37, 45), (1.3, 2.2))])
+def test_frame_on_planes_equals_the_matrix_formulas(monkeypatch, grid, basepoint):
+    theta = scrambled_flat_connection(torus_chart(grid))
+    frame = parallel_frame_flat(theta, basepoint)
+    values, residuals, metric = _frame_on_matrices(theta, frame.basepoint, monkeypatch)
+    assert _bits(frame.values) == _bits(values)
+    assert _bits(frame.metric_samples()) == _bits(metric)
+    planes = np.moveaxis(frame.values, (2, 3), (0, 1))
+    got = _frame_residuals(theta, planes)
+    for res, expected in zip(got, residuals):
+        assert res.flags.c_contiguous
+        assert _bits(np.moveaxis(res, (0, 1), (2, 3))) == _bits(expected)
+    assert frame.residual_max == max(float(np.max(np.abs(r))) for r in residuals)
+    sampled = gauge_transform(theta, frame)
+    binv = np.linalg.inv(values)
+    assert _bits(sampled.p) == _bits(binv @ residuals[0])
+    assert _bits(sampled.q) == _bits(binv @ residuals[1])

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metriconn import forms, metrizability
+from metriconn import forms, metrizability, volume_euler
 from metriconn.connection import ConnectionMatrix, MetricField, gauge_transform
 from metriconn.expr import Const, DomainError, ValueNumbering, X, Y, cos, exp, ln, sin
 from metriconn.forms import (
@@ -20,6 +20,7 @@ from metriconn.forms import (
     OneForm,
     evaluate_grid,
     evaluate_grid_many,
+    integrate2,
     prefetch,
     root_cache,
     sup_norm,
@@ -27,9 +28,9 @@ from metriconn.forms import (
 from metriconn.gallery import RiemannianMetric2D, levi_civita, semi_symmetric
 from metriconn.metrizability import Verdict, check_metrizability
 from metriconn.specfile import load_spec
-from metriconn.volume_euler import NotCompatible, compare_euler, euler_form
+from metriconn.volume_euler import NotCompatible, compare_euler, euler_form, volume_criterion
 
-from helpers import random_gauge, skew_connection, torus_chart, trig_poly
+from helpers import random_gauge, reference_eval_grid, skew_connection, torus_chart, trig_poly
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -54,26 +55,26 @@ def with_trace(theta: ConnectionMatrix) -> ConnectionMatrix:
 
 
 class TapeLog:
-    """Counts, per numbering, how often each value number is computed by
-    ``ValueNumbering.run`` while ``recording`` is set, and which numberings
-    belong to an open root cache."""
+    """Counts how often each value number is computed by
+    ``ValueNumbering.run`` while ``recording`` is set, per numbering and
+    per sample points: a root cache numbers every evaluation in it on one
+    numbering, and a number run on other points (a quadrature's nodes, a
+    potential's gridlines) is other work, not a repeat."""
 
     def __init__(self, monkeypatch):
         self.recording = False
-        self.numberings: list = []      # kept, so that no id() is reused
-        self.cached: set = set()        # id() of root-cache numberings
+        self.inputs: list = []          # kept, so that no id() is reused
+        self.numberings: set = set()    # id() of the numberings that ran
         self.steps = collections.Counter()
         inner = ValueNumbering.run
         log = self
 
         def run(numbering, roots, xs, ys, known):
             if log.recording:
-                log.numberings.append(numbering)
-                cache = forms._ROOT_CACHE.get()
-                if cache is not None and cache.numbering is numbering:
-                    log.cached.add(id(numbering))
+                log.inputs.append((numbering, xs, ys))
+                log.numberings.add(id(numbering))
                 for vn in self.tape(numbering, roots, known):
-                    log.steps[(id(numbering), vn)] += 1
+                    log.steps[(id(numbering), id(xs), id(ys), vn)] += 1
             return inner(numbering, roots, xs, ys, known)
 
         monkeypatch.setattr(ValueNumbering, "run", run)
@@ -91,15 +92,12 @@ class TapeLog:
             stack.extend(numbering._args[vn])
         return needed
 
-    def cached_runs_of(self, expr) -> int:
-        """How often the value number of ``expr`` was computed on the
-        numberings of root caches."""
-        total = 0
-        for numbering in {id(n): n for n in self.numberings}.values():
-            vn = numbering._by_id.get(id(expr))
-            if vn is not None and id(numbering) in self.cached:
-                total += self.steps[(id(numbering), vn)]
-        return total
+    def runs_of(self, expr) -> int:
+        """How often the value number of ``expr`` was computed, on every
+        numbering and every set of sample points."""
+        numbers = {id(n): n._by_id.get(id(expr)) for n, _, _ in self.inputs}
+        return sum(count for (numbering, _, _, vn), count in self.steps.items()
+                   if numbers[numbering] == vn)
 
 
 # ---------------------------------------------------------------------------
@@ -128,20 +126,67 @@ def test_each_value_number_runs_at_most_once_after_the_eigen_test(monkeypatch, c
     assert not repeated, f"{len(repeated)} value numbers ran more than once"
 
 
-def test_compare_euler_evaluates_the_metric_entries_once(monkeypatch):
+def torus_pair():
+    """A metric on the 16^2 torus, its Levi-Civita connection and a
+    semi-symmetric connection built from a closed one-form."""
     chart = torus_chart((16, 16))
     g = RiemannianMetric2D.from_exprs(exp(sin(X) * 0.2), Const(0.0),
                                       exp(cos(Y) * 0.15 + sin(X) * 0.1), chart)
-    semi = semi_symmetric(g, OneForm(sin(Y) * 0.3, cos(X) * 0.2))
-    levi = levi_civita(g)
+    return g, semi_symmetric(g, OneForm(cos(X) * 0.3, -sin(Y) * 0.2)), levi_civita(g)
+
+
+def test_compare_euler_evaluates_the_metric_entries_once(monkeypatch):
+    g, semi, levi = torus_pair()
     log = TapeLog(monkeypatch)
     log.recording = True
     assert compare_euler(semi, levi, g.metric) <= 1e-8
-    # both Euler forms share one cache; the quadrature of each form runs
-    # on nodes of its own, outside it
-    assert len(log.cached) == 1
+    # both Euler forms, their quadratures included, run on the numbering
+    # of one cache, and each quadrature samples the cache's "mid" lattice
+    assert len(log.numberings) == 1
     for entry in (g.metric.entries[0][0], g.metric.entries[1][1]):
-        assert log.cached_runs_of(entry) == 1
+        assert log.runs_of(entry) == 1
+
+
+def test_a_volume_or_euler_call_numbers_on_one_numbering(monkeypatch):
+    g, semi, levi = torus_pair()
+    made = []
+    init = ValueNumbering.__init__
+
+    def counting_init(numbering):
+        init(numbering)
+        made.append(numbering)
+
+    monkeypatch.setattr(ValueNumbering, "__init__", counting_init)
+    report = volume_criterion(semi)
+    # the potential and the loop integrals ran on the call's numbering
+    assert report.closed and report.log_f is not None
+    assert len(made) == 1
+    made.clear()
+    assert compare_euler(semi, levi, g.metric) <= 1e-8
+    assert len(made) == 1
+
+
+def test_torus_quadrature_gives_the_same_bits_in_and_out_of_a_cache(monkeypatch):
+    g, semi, _ = torus_pair()
+    chart = semi.chart
+    report = euler_form(semi, g.metric)
+    form = report.euler_form
+    # the quadrature as written before it sampled the "mid" lattice: full
+    # meshes on the midpoint rule's nodes
+    xm, ym = chart.mesh()
+    values = np.ascontiguousarray(np.broadcast_to(reference_eval_grid(form.r, xm, ym), xm.shape))
+    expected = float(np.full(chart.nx, chart.hx) @ values @ np.full(chart.ny, chart.hy))
+    numbers = {"euler_form": report.euler_number, "outside": integrate2(form, chart)}
+    with root_cache():
+        numbers["inside"] = integrate2(form, chart)
+        numbers["kept root"] = integrate2(form, chart)
+    with root_cache():
+        prefetch([form], chart)
+        numbers["prefetched"] = integrate2(form, chart)
+    monkeypatch.setattr(volume_euler, "prefetch", lambda exprs, chart: None)
+    numbers["euler_form without prefetch"] = euler_form(semi, g.metric).euler_number
+    assert {name: n.hex() for name, n in numbers.items()} == {
+        name: expected.hex() for name in numbers}
 
 
 # ---------------------------------------------------------------------------
