@@ -457,9 +457,12 @@ def _mul(a, b):
     """2x2 matrix product of component arrays: entry ``[i, j]`` of an
     operand is an array over its batch, so the product is elementwise.
     The four products ``a[i, k] b[k, j]`` are one broadcast, summed over
-    ``k`` in one add."""
+    ``k`` in one add into the first half, so no third array is made; the
+    result is a view of the products."""
     prod = a[:, :, None] * b
-    return prod[:, 0] + prod[:, 1]
+    out = prod[:, 0]
+    out += prod[:, 1]
+    return out
 
 
 def _transport(legs) -> list:

@@ -2,6 +2,7 @@
 (``helpers.reference_flat_frame``), and the flat tolerance that
 ``check_metrizability`` hands to ``parallel_frame_flat``."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from metriconn.connection import (
     NotFlat,
     _coefficient_samples,
     _frame_residuals,
+    _mul,
     _sweep,
     _transport,
     gauge_transform,
@@ -231,3 +233,19 @@ def test_frame_on_planes_equals_the_matrix_formulas(monkeypatch, grid, basepoint
     binv = np.linalg.inv(values)
     assert _bits(sampled.p) == _bits(binv @ residuals[0])
     assert _bits(sampled.q) == _bits(binv @ residuals[1])
+
+
+def test_component_product_makes_no_array_beyond_its_products():
+    # a 512^2 frame's residual multiplies planes like these; a third array
+    # for the sum raised the flat check's peak by one full frame
+    rng = np.random.default_rng(8)
+    a = rng.uniform(-1.0, 1.0, (2, 2, 256, 1))
+    b = rng.uniform(-1.0, 1.0, (2, 2, 256, 256))
+    tracemalloc.start()
+    try:
+        out = _mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _bits(out) == _bits(_matrix_product(a, b))
+    assert peak <= 2 * out.nbytes + 2**18
