@@ -24,7 +24,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 
 from .expr import DomainError, ParseError, to_source, to_sources
-from .forms import Chart, sup_norm
+from .forms import Chart, root_cache, sup_norm
 from .connection import ConnectionMatrix, NotFlat, SingularFrame, \
     compatibility_residual, residual_sup
 from .metrizability import (
@@ -279,10 +279,12 @@ def _compare(spec: SpecFile, args, report: _Report) -> int:
     else:
         metric = spec.require_metric()
     try:
-        first = euler_form(theta1, metric, tolerances=_tolerances(args),
-                           label="first connection")
-        second = euler_form(theta2, metric, tolerances=_tolerances(args),
-                            label="second connection")
+        # one cache, as in compare_euler: the metric's arrays are evaluated once
+        with root_cache():
+            first = euler_form(theta1, metric, tolerances=_tolerances(args),
+                               label="first connection")
+            second = euler_form(theta2, metric, tolerances=_tolerances(args),
+                                label="second connection")
     except NotCompatible as exc:
         report.put("error", "NotCompatible")
         report.put("error.which", exc.label)

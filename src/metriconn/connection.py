@@ -22,6 +22,7 @@ from .forms import (
     Chart,
     OneForm,
     TwoForm,
+    _numbering,
     d1,
     evaluate_grid_many,
     grid_derivative,
@@ -50,12 +51,11 @@ class Tolerances:
     eigen_det: float = 1e-10    # scaled pointwise by max|U|^2
     skew: float = 1e-8          # scaled by 1 + sup|theta'|
     compat: float = 1e-8        # scaled by metric/connection magnitudes
-    kernel: float = 1e-10       # matrix-kernel residuals
 
     def scaled(self, factor: float) -> "Tolerances":
         f = float(factor)
         return Tolerances(self.flat * f, self.eigen_trace * f, self.eigen_det * f,
-                          self.skew * f, self.compat * f, self.kernel * f)
+                          self.skew * f, self.compat * f)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -83,27 +83,34 @@ class NotFlat(ValueError):
         self.threshold = threshold
 
 
-def _as_matrix(entries):
-    rows = tuple(tuple(row) for row in entries)
-    m = len(rows)
-    if any(len(row) != m for row in rows):
-        raise ValueError("matrix entries must be square")
-    return rows
-
-
 @dataclass(frozen=True)
-class ConnectionMatrix:
-    """``m x m`` matrix of 1-forms over a chart."""
+class _SquareMatrix:
+    """The ``m x m`` entries shared by the matrix types below, stored as a
+    tuple of row tuples."""
 
     entries: tuple
-    chart: Chart
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _as_matrix(self.entries))
+        rows = tuple(tuple(row) for row in self.entries)
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix entries must be square")
+        object.__setattr__(self, "entries", rows)
 
     @property
     def m(self) -> int:
         return len(self.entries)
+
+
+def _identity(m: int) -> tuple:
+    return tuple(tuple(Const(1.0) if i == j else Const(0.0) for j in range(m))
+                 for i in range(m))
+
+
+@dataclass(frozen=True)
+class ConnectionMatrix(_SquareMatrix):
+    """``m x m`` matrix of 1-forms over a chart."""
+
+    chart: Chart
 
     def p_matrix(self):
         return tuple(tuple(e.p for e in row) for row in self.entries)
@@ -111,72 +118,35 @@ class ConnectionMatrix:
     def q_matrix(self):
         return tuple(tuple(e.q for e in row) for row in self.entries)
 
-    @classmethod
-    def from_coefficients(cls, p, q, chart: Chart) -> "ConnectionMatrix":
-        rows = tuple(
-            tuple(OneForm(pij, qij) for pij, qij in zip(prow, qrow))
-            for prow, qrow in zip(p, q)
-        )
-        return cls(rows, chart)
-
     def sup(self) -> float:
         return sup_norm(self.entries, self.chart)
 
 
 @dataclass(frozen=True)
-class CurvatureMatrix:
+class CurvatureMatrix(_SquareMatrix):
     """``m x m`` matrix of 2-forms; transforms by conjugation under gauge."""
 
-    entries: tuple
     chart: Chart
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _as_matrix(self.entries))
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
 
     def sup(self) -> float:
         return sup_norm(self.entries, self.chart)
 
 
 @dataclass(frozen=True)
-class FrameChange:
+class FrameChange(_SquareMatrix):
     """Pointwise matrix of a frame change, with expression entries."""
 
-    entries: tuple
     chart: Chart
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _as_matrix(self.entries))
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
 
     @classmethod
     def identity(cls, chart: Chart, m: int = 2) -> "FrameChange":
-        rows = tuple(
-            tuple(Const(1.0) if i == j else Const(0.0) for j in range(m))
-            for i in range(m)
-        )
-        return cls(rows, chart)
+        return cls(_identity(m), chart)
 
 
 @dataclass(frozen=True)
-class MetricField:
+class MetricField(_SquareMatrix):
     """Symmetric matrix of expressions; positive definiteness is a grid-level
     property checked by :meth:`spd_witness`."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _as_matrix(self.entries))
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
 
     @classmethod
     def symmetric(cls, g11: Expr, g12: Expr, g22: Expr) -> "MetricField":
@@ -184,20 +154,22 @@ class MetricField:
 
     @classmethod
     def identity(cls, m: int = 2) -> "MetricField":
-        rows = tuple(
-            tuple(Const(1.0) if i == j else Const(0.0) for j in range(m))
-            for i in range(m)
-        )
-        return cls(rows)
+        return cls(_identity(m))
 
     def spd_witness(self, chart: Chart):
         """Return ``None`` if positive definite at every grid point, else the
         lexicographically first offending point."""
-        (g11, g12), (_, g22) = self.entries
-        a, b, c = evaluate_grid_many([g11, g12, g22], chart)
-        det = a * c - b * b
-        bad = (a <= 0.0) | (det <= 0.0)
+        bad, _ = _not_spd(self.entries, chart)
         return chart.first_point(bad) if bad.any() else None
+
+
+def _not_spd(entries, chart: Chart):
+    """The samples where the symmetric 2x2 matrix of expressions
+    ``entries`` is not positive definite (``a11 <= 0`` or ``det <= 0``), as
+    a mask, and its determinant at every sample."""
+    a, b, c = evaluate_grid_many([entries[0][0], entries[0][1], entries[1][1]], chart)
+    det = a * c - b * b
+    return (a <= 0.0) | (det <= 0.0), det
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +188,6 @@ def _mat_mul(a, b):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def _mat_transpose(a):
-    m = len(a)
-    return tuple(tuple(a[j][i] for j in range(m)) for i in range(m))
 
 
 def _mat_diff(a, variable):
@@ -265,12 +232,18 @@ def trace_curvature(omega: CurvatureMatrix) -> TwoForm:
     return acc
 
 
+def _vanishing(expr: Expr, chart: Chart):
+    """The samples of ``expr`` on the chart's grid, and the mask of those
+    that vanish: ``|v| <= 1e-12 (1 + max |v|)``."""
+    [values] = evaluate_grid_many([expr], chart)
+    magnitude = np.abs(values)
+    return values, magnitude <= 1e-12 * (1.0 + float(np.max(magnitude)))
+
+
 def _check_nonsingular(det: Expr, chart: Chart) -> None:
     """The guard of a symbolic frame change: its determinant ``det`` must
     not vanish at a grid sample."""
-    [det] = evaluate_grid_many([det], chart)
-    scale = float(np.max(np.abs(det)))
-    bad = np.abs(det) <= 1e-12 * (1.0 + scale)
+    det, bad = _vanishing(det, chart)
     if bad.any():
         raise SingularFrame(chart.first_point(bad), float(det[bad][0]))
 
@@ -440,11 +413,12 @@ def _coefficient_samples(coeffs, xs, ys) -> np.ndarray:
 
     Returns shape ``(2, 2, *s)``, where ``s`` is the broadcast of the
     entries' own value shapes: an entry that depends on one axis is computed
-    on that axis alone, and ``s`` is only as large as the entries need.
+    on that axis alone, and ``s`` is only as large as the entries need.  The
+    entries are numbered on the open root cache's numbering, if any.
     """
     with np.errstate(all="ignore"):
         raws = [np.asarray(raw, dtype=float) for raw in
-                eval_grid_many([e for row in coeffs for e in row], xs, ys)]
+                eval_grid_many([e for row in coeffs for e in row], xs, ys, _numbering())]
     shape = np.broadcast_shapes(*(raw.shape for raw in raws),
                                 (1,) * max(np.ndim(xs), np.ndim(ys)))
     out = np.stack([np.broadcast_to(raw, shape) for raw in raws]).reshape((2, 2) + shape)
@@ -649,31 +623,20 @@ def _gauge_transform_sampled(theta: ConnectionMatrix, frame: ParallelFrame) -> G
 
 def transport_metric_x(theta: ConnectionMatrix, g0: np.ndarray, y: float | None = None,
                        steps: int = 1024, periods: float = 1.0) -> np.ndarray:
-    """Transport a metric along the x-direction through ``periods`` periods of
-    the chart by solving ``dG/dx = theta_x^T G + G theta_x`` with RK4.
-
-    Returns the transported matrix.  ``steps`` controls the RK4 resolution
-    independently of the chart grid.
+    """Transport a metric ``g0`` from the chart's left edge along the x-line
+    at ``y`` (default: the bottom edge) through ``periods`` periods of the
+    chart, solving ``dG/dx = theta_x^T G + G theta_x``.  A parallel metric
+    makes a parallel frame ``B`` orthonormal, so this is ``B^-T g0 B^-1`` for
+    the frame that the RK4 driver of :func:`parallel_frame_flat` carries from
+    ``B = I`` through ``steps`` node intervals of ``RK4_SUBSTEPS`` RK4 steps
+    each, whatever the chart grid.
     """
     chart = theta.chart
     if y is None:
         y = chart.y_range[0]
     x0 = chart.x_range[0]
     length = (chart.x_range[1] - x0) * float(periods)
-    ts = np.linspace(x0, x0 + length, 2 * steps + 1)
-    samples = _coefficient_samples(theta.p_matrix(), ts, np.full_like(ts, y))
-    mats = np.moveaxis(np.broadcast_to(samples, (2, 2, ts.size)), 2, 0)
-    h = length / steps
-    g = np.array(g0, dtype=float)
-
-    def rhs(mat, gv):
-        return mat.T @ gv + gv @ mat
-
-    for k in range(steps):
-        m1, m2, m3 = mats[2 * k], mats[2 * k + 1], mats[2 * k + 2]
-        k1 = rhs(m1, g)
-        k2 = rhs(m2, g + (h / 2.0) * k1)
-        k3 = rhs(m2, g + (h / 2.0) * k2)
-        k4 = rhs(m3, g + h * k3)
-        g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return g
+    [frames] = _transport([(theta.p_matrix(), True, x0, length / steps, steps, [y],
+                            np.eye(2)[:, :, None])])
+    binv = np.linalg.inv(frames[-1, :, :, 0])
+    return binv.T @ np.asarray(g0, dtype=float) @ binv

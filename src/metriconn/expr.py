@@ -135,20 +135,16 @@ class Expr:
         Runs this expression as a one-root tape (see :func:`eval_grid_many`).
         Out-of-domain points surface as non-finite entries; callers needing a
         located error fall back to :meth:`eval` at the offending point.  A
-        ``memo`` dict maps ``id(node)`` to a value already computed on the
-        same ``xs``, ``ys``: such nodes are taken as leaves, and the result
-        is stored under ``id(self)``.
+        ``memo`` dict holds the results of earlier calls on the same ``xs``,
+        ``ys`` under ``id(root)``: a root found there is returned as it is,
+        and a new result is stored under ``id(self)``.  Only roots are
+        looked up; the nodes below are always computed.
         """
         if memo is None:
             return eval_grid_many([self], xs, ys)[0]
-        hit = memo.get(id(self))
-        if hit is None:
-            numbering = ValueNumbering()
-            known: dict = {}
-            [vn] = numbering.number([self], opaque=memo, known=known)
-            [hit] = numbering.run([vn], xs, ys, known)
-            memo[id(self)] = hit
-        return hit
+        if id(self) not in memo:
+            memo[id(self)] = eval_grid_many([self], xs, ys)[0]
+        return memo[id(self)]
 
     # differentiation ------------------------------------------------------
 
@@ -646,33 +642,31 @@ class ValueNumbering:
         self._args: list = []       # number -> operand numbers
         self._leaves: list = []     # number -> constant value or variable name
 
-    def _new(self, op, args: tuple, leaf) -> int:
+    def _new_node(self, node: Expr, args: tuple) -> int:
+        cls = type(node)
+        op = leaf = None
+        if cls is Const:
+            leaf = node.value
+        elif cls is Var:
+            leaf = node.name
+        elif cls is Neg:
+            op = operator.neg
+        elif cls is Call:
+            op = _GRID_FUNCS[node.name]
+        elif cls is Pow:
+            n = node._int_exponent
+            op = _int_power(n) if n is not None else _real_power(node.exponent)
+        else:
+            op = _GRID_BINARY[cls]
         vn = len(self._ops)
         self._ops.append(op)
         self._args.append(args)
         self._leaves.append(leaf)
         return vn
 
-    def _new_node(self, node: Expr, args: tuple) -> int:
-        cls = type(node)
-        if cls is Const:
-            return self._new(None, (), node.value)
-        if cls is Var:
-            return self._new(None, (), node.name)
-        if cls is Neg:
-            return self._new(operator.neg, args, None)
-        if cls is Call:
-            return self._new(_GRID_FUNCS[node.name], args, None)
-        if cls is Pow:
-            n = node._int_exponent
-            op = _int_power(n) if n is not None else _real_power(node.exponent)
-            return self._new(op, args, None)
-        return self._new(_GRID_BINARY[cls], args, None)
-
-    def number(self, roots, opaque=None, known=None) -> list[int]:
+    def number(self, roots) -> list[int]:
         """Numbers of ``roots``, numbering every node below them without
-        recursion.  A node whose ``id()`` is a key of ``opaque`` becomes a
-        leaf of its own whose value is stored in ``known``."""
+        recursion."""
         by_id, by_key, nodes = self._by_id, self._by_key, self._nodes
         out = []
         for root in roots:
@@ -683,26 +677,22 @@ class ValueNumbering:
                 if nid in by_id:
                     stack.pop()
                     continue
-                if opaque is not None and nid in opaque:
-                    vn = self._new(None, (), None)
-                    known[vn] = opaque[nid]
-                else:
-                    args = []
-                    pending = False
-                    for kid in _operands(node):
-                        vk = by_id.get(id(kid))
-                        if vk is None:
-                            stack.append(kid)
-                            pending = True
-                        else:
-                            args.append(vk)
-                    if pending:
-                        continue
-                    args = tuple(args)
-                    key = _shape(node, args)
-                    vn = by_key.get(key)
-                    if vn is None:
-                        vn = by_key[key] = self._new_node(node, args)
+                args = []
+                pending = False
+                for kid in _operands(node):
+                    vk = by_id.get(id(kid))
+                    if vk is None:
+                        stack.append(kid)
+                        pending = True
+                    else:
+                        args.append(vk)
+                if pending:
+                    continue
+                args = tuple(args)
+                key = _shape(node, args)
+                vn = by_key.get(key)
+                if vn is None:
+                    vn = by_key[key] = self._new_node(node, args)
                 stack.pop()
                 by_id[nid] = vn
                 nodes.append(node)

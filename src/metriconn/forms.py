@@ -13,14 +13,15 @@ Grid evaluation runs all the expressions of one call as one tape
 :func:`metriconn.metrizability.check_metrizability` opens for the length of
 one check (and the functions of :mod:`metriconn.volume_euler` for one
 call), the cache is the evaluation context of the call: every evaluation
-in it, on a named lattice, in :func:`integrate2`, :func:`line_integral` or
-:func:`potential_on_grid`, numbers its expressions on the cache's one
-value numbering, so a node is numbered once per call.  The roots
-evaluated on a (chart, lattice) pair are kept and reused by the later
-evaluations on that pair.  A caller that knows which roots its later
-stages will ask for runs them as one tape first with :func:`prefetch`: the
-stages share the intermediates of that tape, and each stage still checks
-its own roots, in its own order.
+in it, on a named lattice, in :func:`integrate2`, :func:`line_integral`,
+:func:`potential_on_grid` or the RK4 transport of a parallel frame,
+numbers its expressions on the cache's one value numbering, so a node is
+numbered once per call (:meth:`Expr.eval_grid` alone numbers on its
+own).  The roots evaluated on a (chart, lattice) pair are kept and reused
+by the later evaluations on that pair.  A caller that knows which roots
+its later stages will ask for runs them as one tape first with
+:func:`prefetch`: the stages share the intermediates of that tape, and
+each stage still checks its own roots, in its own order.
 
 The tape runs on open meshes, ``xs[:, None]`` and ``ys[None, :]``, so a
 node that depends on one coordinate is computed on that axis alone (shape
@@ -229,8 +230,8 @@ def root_cache():
     """Open a root cache for the length of the block.
 
     The cache owns the value numbering of every grid evaluation in the
-    block, quadratures and potentials included, so a node built once is
-    numbered once.  :func:`evaluate_grid` and :func:`evaluate_grid_many` on
+    block, quadratures, potentials and frame transport included, so a node
+    built once is numbered once.  :func:`evaluate_grid` and :func:`evaluate_grid_many` on
     a (chart, lattice) pair, and :func:`integrate2` on a chart periodic in
     both axes, take the values of the roots already evaluated on that pair
     as finished leaves, so a later stage does not recompute the arrays of
@@ -249,6 +250,12 @@ def root_cache():
         yield
     finally:
         _ROOT_CACHE.reset(token)
+
+
+def _numbering() -> ValueNumbering | None:
+    """The numbering of the open root cache, or ``None`` outside one."""
+    cache = _ROOT_CACHE.get()
+    return cache.numbering if cache is not None else None
 
 
 def _lattice(cache: _RootCache, chart: Chart, lattice: str) -> tuple:
@@ -301,10 +308,8 @@ def _evaluate_on(exprs, xs: np.ndarray, ys: np.ndarray, known=None) -> list[np.n
     """Evaluate expressions on open meshes as one tape, checked in order,
     on the numbering of the open root cache if there is one.  ``known``
     holds the roots already evaluated on these meshes."""
-    cache = _ROOT_CACHE.get()
-    numbering = cache.numbering if cache is not None else None
     with np.errstate(all="ignore"):
-        raws = eval_grid_many(exprs, xs, ys, numbering, known)
+        raws = eval_grid_many(exprs, xs, ys, _numbering(), known)
     return [_checked(e, raw, xs, ys) for e, raw in zip(exprs, raws)]
 
 

@@ -14,13 +14,13 @@ import numpy as np
 
 from .expr import Const, Expr, X, Y, cos, exp, sin
 from .forms import Chart, OneForm
-from .connection import ConnectionMatrix, MetricField, transport_metric_x
+from .connection import ConnectionMatrix, MetricField
 from .metrizability import NotSPD
 
 __all__ = [
     "RiemannianMetric2D", "TorsionField",
     "torus_example", "hyperbolic_band_metric", "levi_civita", "semi_symmetric",
-    "torsion", "metric_transport_growth", "GALLERY", "GalleryEntry",
+    "torsion", "GALLERY", "GalleryEntry",
 ]
 
 _TAU = 2.0 * np.pi
@@ -168,17 +168,6 @@ def torsion(theta: ConnectionMatrix) -> TorsionField:
     t1 = theta.entries[0][1].p - theta.entries[0][0].q
     t2 = theta.entries[1][1].p - theta.entries[1][0].q
     return TorsionField.from_independent(t1, t2)
-
-
-def metric_transport_growth(theta: ConnectionMatrix, g0=None, *,
-                            steps: int = 1024) -> float:
-    """Growth factor of the leading metric entry when the compatibility
-    equation is transported once around the x-period of the chart."""
-    if g0 is None:
-        g0 = np.eye(theta.m)
-    g0 = np.asarray(g0, dtype=float)
-    g_end = transport_metric_x(theta, g0, steps=steps)
-    return float(g_end[0, 0] / g0[0, 0])
 
 
 # ---------------------------------------------------------------------------

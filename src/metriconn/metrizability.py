@@ -50,7 +50,9 @@ from .connection import (
     _curvature_peak,
     _det2,
     _gauge_transformed,
+    _not_spd,
     _parallel_frame,
+    _vanishing,
     compatibility_residual,
     curvature,
     residual_sup,
@@ -167,9 +169,6 @@ class MetrizabilityReport:
     def grid(self) -> tuple[int, int]:
         return self.chart.grid
 
-    def is_locally_metric(self) -> bool:
-        return self.verdict in (Verdict.METRIC, Verdict.FLAT)
-
     def metric_grid(self) -> np.ndarray | None:
         """Sampled parallel metric on the node lattice, conformal factor
         included."""
@@ -199,9 +198,7 @@ def factor_curvature(omega: CurvatureMatrix, volume: TwoForm) -> CurvatureCoeffi
     on the grid.
     """
     chart = omega.chart
-    [vol] = evaluate_grid_many([volume.r], chart)
-    vol_scale = float(np.max(np.abs(vol)))
-    degenerate = np.abs(vol) <= 1e-12 * (1.0 + vol_scale)
+    vol, degenerate = _vanishing(volume.r, chart)
     if degenerate.any():
         raise DegenerateVolume(chart.first_point(degenerate), float(vol[degenerate][0]))
 
@@ -299,9 +296,7 @@ def spd_sqrt(s, chart: Chart):
 
 def _check_spd_det_one(s, chart: Chart) -> None:
     """The guard of :func:`spd_sqrt`."""
-    a11, a12, a22 = evaluate_grid_many([s[0][0], s[0][1], s[1][1]], chart)
-    det = a11 * a22 - a12 * a12
-    bad = (a11 <= 0.0) | (det <= 0.0)
+    bad, det = _not_spd(s, chart)
     if bad.any():
         raise NotSPD(chart.first_point(bad), "non-positive leading minor")
     off = np.abs(det - 1.0) > 1e-8 * (1.0 + np.abs(det))

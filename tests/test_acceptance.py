@@ -29,6 +29,7 @@ from metriconn.connection import (
     residual_sup,
     trace_connection,
     trace_curvature,
+    transport_metric_x,
 )
 from metriconn.metrizability import (
     Verdict,
@@ -42,7 +43,6 @@ from metriconn.volume_euler import euler_form, volume_criterion
 from metriconn.gallery import (
     RiemannianMetric2D,
     levi_civita,
-    metric_transport_growth,
     semi_symmetric,
     torsion,
     torus_example,
@@ -159,7 +159,7 @@ def test_acceptance_4_torus_example():
     report = check_metrizability(theta)
     assert report.verdict is Verdict.FLAT
 
-    growth = metric_transport_growth(theta)
+    growth = transport_metric_x(theta, np.eye(2))[0, 0]
     assert growth == pytest.approx(np.exp(4.0 * np.pi), rel=1e-6)
 
     volume = volume_criterion(theta)

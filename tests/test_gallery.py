@@ -9,6 +9,7 @@ from metriconn.connection import (
     curvature,
     interpolate,
     residual_sup,
+    transport_metric_x,
 )
 from metriconn.metrizability import NotSPD, Verdict, check_metrizability
 from metriconn.volume_euler import compare_euler, volume_criterion
@@ -17,7 +18,6 @@ from metriconn.gallery import (
     RiemannianMetric2D,
     hyperbolic_band_metric,
     levi_civita,
-    metric_transport_growth,
     semi_symmetric,
     torsion,
     torus_example,
@@ -54,8 +54,14 @@ def test_torus_is_flat_with_exponential_metric(torus):
 
 
 def test_torus_transport_growth(torus):
-    growth = metric_transport_growth(torus)
-    assert growth == pytest.approx(np.exp(4.0 * np.pi), rel=1e-6)
+    # theta = [[dx, 0], [0, 0]]: dG11/dx = 2 G11, so one x-period of the
+    # transport multiplies G11 by exp(4 pi) and leaves G22 alone
+    g_end = transport_metric_x(torus, np.eye(2))
+    assert g_end[0, 0] == pytest.approx(np.exp(4.0 * np.pi), rel=1e-10)
+    assert g_end[1, 1] == pytest.approx(1.0, abs=1e-12)
+    assert g_end[0, 1] == g_end[1, 0] == 0.0
+    half = transport_metric_x(torus, 2.0 * np.eye(2), y=1.0, periods=0.5)
+    assert half[0, 0] == pytest.approx(2.0 * np.exp(2.0 * np.pi), rel=1e-10)
 
 
 def test_levi_civita_identity_metric():

@@ -6,13 +6,14 @@ still come."""
 from __future__ import annotations
 
 import collections
+import io
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metriconn import forms, metrizability, volume_euler
+from metriconn import cli, forms, metrizability, volume_euler
 from metriconn.connection import ConnectionMatrix, MetricField, gauge_transform
 from metriconn.expr import Const, DomainError, ValueNumbering, X, Y, cos, exp, ln, sin
 from metriconn.forms import (
@@ -30,7 +31,14 @@ from metriconn.metrizability import Verdict, check_metrizability
 from metriconn.specfile import load_spec
 from metriconn.volume_euler import NotCompatible, compare_euler, euler_form, volume_criterion
 
-from helpers import random_gauge, reference_eval_grid, skew_connection, torus_chart, trig_poly
+from helpers import (
+    random_gauge,
+    reference_eval_grid,
+    scrambled_flat_connection,
+    skew_connection,
+    torus_chart,
+    trig_poly,
+)
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -152,8 +160,8 @@ def test_compare_euler_evaluates_the_metric_entries_once(monkeypatch):
         assert log.runs_of(entry) == 1
 
 
-def test_a_volume_or_euler_call_numbers_on_one_numbering(monkeypatch):
-    g, semi, levi = torus_pair(CLOSED)
+def count_numberings(monkeypatch) -> list:
+    """The list of every ``ValueNumbering`` made from now on."""
     made = []
     init = ValueNumbering.__init__
 
@@ -162,12 +170,36 @@ def test_a_volume_or_euler_call_numbers_on_one_numbering(monkeypatch):
         made.append(numbering)
 
     monkeypatch.setattr(ValueNumbering, "__init__", counting_init)
+    return made
+
+
+def test_a_volume_or_euler_call_numbers_on_one_numbering(monkeypatch):
+    g, semi, levi = torus_pair(CLOSED)
+    made = count_numberings(monkeypatch)
     report = volume_criterion(semi)
     # the potential and the loop integrals ran on the call's numbering
     assert report.closed and report.log_f is not None
     assert len(made) == 1
     made.clear()
     assert compare_euler(semi, levi, g.metric) <= 1e-8
+    assert len(made) == 1
+
+
+def test_a_flat_check_numbers_on_one_numbering(monkeypatch):
+    theta = scrambled_flat_connection(torus_chart((64, 64)))
+    made = count_numberings(monkeypatch)
+    report = check_metrizability(theta)
+    # the frame's RK4 legs and residuals sample the coefficients on the
+    # check's numbering
+    assert report.verdict is Verdict.FLAT
+    assert len(made) == 1
+
+
+def test_a_cli_compare_numbers_on_one_numbering(monkeypatch):
+    made = count_numberings(monkeypatch)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["compare", str(SPECS / "compare_pair.conn"), "--json"], out, err) == 0
+    # both Euler forms run in one root cache, as in compare_euler
     assert len(made) == 1
 
 

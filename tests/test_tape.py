@@ -174,12 +174,15 @@ def test_structurally_equal_nodes_share_one_value_number():
 
 
 def test_memo_entries_act_as_leaves():
-    inner = sin(X)
-    outer = inner + Y
+    # the memo of Expr.eval_grid holds roots: a root found there is
+    # returned as it is, and a computed root is stored under its id()
+    outer = sin(X) + Y
     xs = np.linspace(0.0, 1.0, 5)
     planted = np.full(5, 10.0)
-    memo = {id(inner): planted}
-    assert np.array_equal(outer.eval_grid(xs, xs, memo), planted + xs)
+    memo = {id(outer): planted}
+    assert outer.eval_grid(xs, xs, memo) is planted
+    memo = {}
+    assert np.array_equal(outer.eval_grid(xs, xs, memo), np.sin(xs) + xs)
     assert memo[id(outer)] is outer.eval_grid(xs, xs, memo)
     assert np.array_equal(outer.eval_grid(xs, xs), np.sin(xs) + xs)
 

@@ -4,9 +4,12 @@ names is gone.  This reads the tracer's own table rather than a copy."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-from metriconn.expr import Expr
+import numpy as np
+
+from metriconn.expr import Expr, X, Y, sin
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -26,3 +29,16 @@ def test_every_traced_call_resolves():
         assert callable(target), f"metriconn.{module}.{attr}"
     # the tracer also replaces these two methods in the class dictionary
     assert "eval_grid" in Expr.__dict__ and "diff" in Expr.__dict__
+
+
+def test_eval_grid_keeps_the_memo_contract_the_benchmark_calls():
+    # perfbench/workloads.py samples the recovered metric with
+    # ``e.eval_grid(xm, ym, memo)``, and the tracer wraps that signature
+    params = list(inspect.signature(Expr.eval_grid).parameters)
+    assert params == ["self", "xs", "ys", "memo"]
+    e = sin(X) * Y
+    xs, ys = np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 4)
+    memo: dict = {}
+    value = e.eval_grid(xs, ys, memo)
+    assert np.array_equal(value, np.sin(xs) * ys)
+    assert memo[id(e)] is e.eval_grid(xs, ys, memo)
