@@ -22,7 +22,6 @@ from .forms import (
     Chart,
     OneForm,
     TwoForm,
-    _numbering,
     d1,
     evaluate_grid_many,
     grid_derivative,
@@ -413,14 +412,12 @@ def _coefficient_samples(coeffs, xs, ys) -> np.ndarray:
 
     Returns shape ``(2, 2, *s)``, where ``s`` is the broadcast of the
     entries' own value shapes: an entry that depends on one axis is computed
-    on that axis alone, and ``s`` is only as large as the entries need.  The
-    entries are numbered on the open root cache's numbering, if any.
+    on that axis alone, and ``s`` is only as large as the entries need.
     """
     with np.errstate(all="ignore"):
         raws = [np.asarray(raw, dtype=float) for raw in
-                eval_grid_many([e for row in coeffs for e in row], xs, ys, _numbering())]
-    shape = np.broadcast_shapes(*(raw.shape for raw in raws),
-                                (1,) * max(np.ndim(xs), np.ndim(ys)))
+                eval_grid_many([e for row in coeffs for e in row], xs, ys)]
+    shape = np.broadcast(*raws, np.empty((1,) * max(np.ndim(xs), np.ndim(ys)))).shape
     out = np.stack([np.broadcast_to(raw, shape) for raw in raws]).reshape((2, 2) + shape)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("connection coefficients are not finite on the sweep path")

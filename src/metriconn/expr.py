@@ -16,15 +16,24 @@ to that node (the derivative of ``exp(u)`` holds a fresh ``exp(u)``), so
 the caches make no reference cycles.  :func:`parse` shares structurally
 equal subtrees of one text.
 
+Every node gets a value number when it is built: structurally equal nodes
+get one number, whether they are one object or several.  A number stands
+for the node's type, its payload (constants keyed by their bits, so
+``-0.0`` and ``0.0`` stay apart) and its operands' numbers; it is drawn
+from a counter that never gives a value twice, so the sorted numbers of a
+set of nodes are a topological order of them.  A number is a token
+held by every node of its structure (and by the tables that key grid
+values by it); one process-wide table maps each structure to its token
+while the token lives, and a structure built again after its token died
+gets a new number.  Nodes are numbered, not merged: two equal nodes built
+apart stay two objects, each with its own derivative cache.
+
 Grid evaluation lowers all the roots of one call to a single tape
-(:func:`eval_grid_many`): a :class:`ValueNumbering` gives structurally
-equal nodes one number (constants keyed by their bits, so ``-0.0`` and
-``0.0`` stay apart), the tape runs each number once with the numpy
+(:func:`eval_grid_many`): the tape runs each number once with the numpy
 operation of its node type, and every intermediate is dropped after its
-last use.  A numbering and the root values computed under it can be carried
-from one call to the next; the per-check root cache in
-:mod:`metriconn.forms` does that.  Scalar :meth:`Expr.eval` is the
-located, domain-checked path.
+last use.  The root values of one call can be carried to the next; the
+per-check root cache in :mod:`metriconn.forms` does that.  Scalar
+:meth:`Expr.eval` is the located, domain-checked path.
 
 Nothing in this module recurses: every walk over the nodes keeps an
 explicit stack, so expression depth is bounded by memory only.
@@ -32,10 +41,13 @@ explicit stack, so expression depth is bounded by memory only.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 import re
 import struct
+import weakref
 
 import numpy as np
 
@@ -43,7 +55,7 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ParseError", "DomainError",
     "parse", "to_source", "to_sources",
-    "ValueNumbering", "eval_grid_many",
+    "eval_grid_many",
     "sin", "cos", "tan", "exp", "ln", "sqrt", "sinh", "cosh",
     "X", "Y", "ZERO", "ONE",
 ]
@@ -86,11 +98,12 @@ class DomainError(ArithmeticError):
 class Expr:
     """Base class for expression nodes.  Instances are immutable and pure.
 
-    ``_varying`` is whether a node depends on a variable; each node sets it
-    from its operands when it is built.
+    ``_varying`` is whether a node depends on a variable, and ``_num`` the
+    token of its value number (see :func:`_number`); each node sets both
+    when it is built.
     """
 
-    __slots__ = ("_dcache", "_varying")
+    __slots__ = ("_dcache", "_varying", "_num")
 
     # evaluation -----------------------------------------------------------
 
@@ -102,32 +115,32 @@ class Expr:
         divisor for zero before it reads its dividend.  A node whose value
         is not finite while its operands are is an overflow.
         """
-        values: dict = {}       # id(node) -> value
+        values: dict = {}       # value number -> value
         stack = [self]
         while stack:
             node = stack[-1]
-            if id(node) in values:
+            if node._num in values:
                 stack.pop()
                 continue
             if node.__class__ is Div:
-                den = values.get(id(node.right))
+                den = values.get(node.right._num)
                 if den is None:
                     stack.append(node.right)
                     continue
                 if den == 0.0:
                     raise DomainError(x, y, node, "division by zero")
             kids = _operands(node)
-            pending = [k for k in kids if id(k) not in values]
+            pending = [k for k in kids if k._num not in values]
             if pending:
                 stack.extend(reversed(pending))
                 continue
             stack.pop()
-            args = [values[id(k)] for k in kids]
+            args = [values[k._num] for k in kids]
             value = _scalar(node, args, x, y)
             if args and not math.isfinite(value) and all(map(math.isfinite, args)):
                 raise DomainError(x, y, node, "overflow")
-            values[id(node)] = value
-        return values[id(self)]
+            values[node._num] = value
+        return values[self._num]
 
     def eval_grid(self, xs, ys, memo=None):
         """Vectorised evaluation on numpy arrays, without domain checks.
@@ -221,6 +234,17 @@ class Expr:
     def __repr__(self):
         return f"<{type(self).__name__} {to_source(self)!r}>"
 
+    def __reduce__(self):
+        # a value number is only valid in the process that drew it, so a
+        # copy or an unpickled node is rebuilt through its class, which
+        # numbers it afresh; the nodes travel as a flat list, operands
+        # first, so depth is no limit
+        nodes = _postorder(self)
+        index = {node._num: i for i, node in enumerate(nodes)}
+        return _rebuild, ([(type(node), tuple(index[a._num] if isinstance(a, Expr) else a
+                                              for a in _init_args(node)))
+                           for node in nodes],)
+
 
 class Const(Expr):
     __slots__ = ("value",)
@@ -228,6 +252,7 @@ class Const(Expr):
 
     def __init__(self, value: float):
         self.value = float(value)
+        self._num = _number((Const, _bits(self.value)))
 
 
 class Var(Expr):
@@ -239,6 +264,7 @@ class Var(Expr):
             raise ValueError(f"variable must be 'x' or 'y', got {name!r}")
         self.name = name
         self._dcache = {"x": ZERO, "y": ZERO, name: ONE}
+        self._num = _number((Var, name))
 
 
 class Neg(Expr):
@@ -248,6 +274,7 @@ class Neg(Expr):
         self.arg = arg
         self._dcache = None
         self._varying = arg._varying
+        self._num = _number((Neg, arg._num))
 
 
 class _Binary(Expr):
@@ -258,6 +285,7 @@ class _Binary(Expr):
         self.right = right
         self._dcache = None
         self._varying = left._varying or right._varying
+        self._num = _number((self.__class__, left._num, right._num))
 
 
 class Add(_Binary):
@@ -290,6 +318,7 @@ class Pow(Expr):
         self.exponent = float(exponent)
         self._dcache = None
         self._varying = base._varying
+        self._num = _number((Pow, _bits(self.exponent), base._num))
         self._int_exponent = (
             int(self.exponent)
             if self.exponent.is_integer() and abs(self.exponent) < 2**31
@@ -307,6 +336,7 @@ class Call(Expr):
         self.arg = arg
         self._dcache = None
         self._varying = arg._varying
+        self._num = _number((Call, name, arg._num))
 
 
 def _operands(e: Expr) -> tuple:
@@ -403,19 +433,65 @@ def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
-def _shape(e: Expr, operands: tuple) -> tuple:
-    """Structural key of a node: its type, its payload and the given keys of
-    its operands."""
+class _Number:
+    """The token of one value number; its integer ``n`` orders numbers as
+    they were drawn.  The structure's entry in the table lives as long as
+    the token does."""
+
+    __slots__ = ("n", "__weakref__")
+
+    def __init__(self):
+        self.n = next(_COUNTER)
+
+
+_COUNTER = itertools.count()
+_DRAWN = operator.attrgetter("n")
+# structural key -> weak reference to its token, dropped when the token
+# dies; a key holds the tokens of the operands, so no token in a live key
+# can die and give its identity to another.  A weakref.WeakValueDictionary
+# does the same, but its lookup raises and catches a KeyError for every new
+# structure, which made building a node about twice as dear as this.
+_NUMBERS: dict = {}
+
+
+def _forget(table: dict, key: tuple, ref) -> None:
+    if table.get(key) is ref:
+        del table[key]
+
+
+def _number(key: tuple) -> _Number:
+    """The token of the structure ``key``: a node's type, its payload and
+    its operands' tokens.  A structure whose token has died gets a new one."""
+    ref = _NUMBERS.get(key)
+    token = ref() if ref is not None else None
+    if token is None:
+        token = _Number()
+        _NUMBERS[key] = weakref.ref(token, functools.partial(_forget, _NUMBERS, key))
+    return token
+
+
+def _init_args(e: Expr) -> tuple:
+    """The arguments of the class of ``e`` that build ``e``."""
     cls = type(e)
     if cls is Const:
-        return (Const, _bits(e.value))
+        return (e.value,)
     if cls is Var:
-        return (Var, e.name)
+        return (e.name,)
     if cls is Call:
-        return (Call, e.name, operands)
+        return (e.name, e.arg)
     if cls is Pow:
-        return (Pow, _bits(e.exponent), operands)
-    return (cls, operands)
+        return (e.base, e.exponent)
+    return _operands(e)
+
+
+def _rebuild(steps: list) -> Expr:
+    """The last node of ``steps``, pairs ``(class, arguments)`` in which an
+    ``int`` argument is the index of an earlier node (a payload is a float
+    or a string); each node is built by its class."""
+    nodes: list = []
+    for cls, args in steps:
+        nodes.append(cls(*[nodes[a] if a.__class__ is int else a for a in args]))
+    return nodes[-1]
 
 
 _SCALAR_FUNCS = {
@@ -587,30 +663,19 @@ def cosh(e) -> Expr:
 # grid evaluation: one value-numbered tape per call
 
 
-def _int_power(n: int):
+def _int_power(b, n: int):
     if n == 0:
         # a base without a value stays without one (``nan ** 0`` is 1);
         # ``_pow`` keeps a 0th power only of such a base
-        def zeroth(b):
-            return b * 0.0 + 1.0
-        return zeroth
-
-    def power(b):
-        if isinstance(b, np.ndarray):
-            return np.power(b, n, dtype=float)
-        try:
-            return float(b) ** n
-        except (OverflowError, ZeroDivisionError):
-            # a power of a constant that does not fold: infinite, as on
-            # arrays, and located by the domain check
-            return float(np.power(float(b), float(n)))
-    return power
-
-
-def _real_power(exponent: float):
-    def power(b):
-        return np.power(b, exponent)
-    return power
+        return b * 0.0 + 1.0
+    if isinstance(b, np.ndarray):
+        return np.power(b, n, dtype=float)
+    try:
+        return float(b) ** n
+    except (OverflowError, ZeroDivisionError):
+        # a power of a constant that does not fold: infinite, as on
+        # arrays, and located by the domain check
+        return float(np.power(float(b), float(n)))
 
 
 _BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
@@ -619,154 +684,79 @@ _BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: ope
 _GRID_BINARY = {**_BINARY_OPS, Div: np.true_divide}
 
 
-class ValueNumbering:
-    """Value numbers of expression nodes, and the tapes they run as.
-
-    Structurally equal nodes get one number, whether they are one object or
-    several: a number stands for the node's type, its payload (a constant's
-    bits, a variable's name, a function's name, an exponent's bits) and its
-    operands' numbers.  Operands are numbered before their results, so the
-    sorted numbers of a set of nodes are a topological order of them.
-
-    The numbering holds every node it has numbered, so an ``id()`` it has
-    seen cannot be reused by another object while it lives.
-    """
-
-    __slots__ = ("_by_id", "_by_key", "_nodes", "_ops", "_args", "_leaves")
-
-    def __init__(self):
-        self._by_id: dict = {}      # id(node) -> number
-        self._by_key: dict = {}     # structural key -> number
-        self._nodes: list = []
-        self._ops: list = []        # number -> numpy operation, None for a leaf
-        self._args: list = []       # number -> operand numbers
-        self._leaves: list = []     # number -> constant value or variable name
-
-    def _new_node(self, node: Expr, args: tuple) -> int:
-        cls = type(node)
-        op = leaf = None
-        if cls is Const:
-            leaf = node.value
-        elif cls is Var:
-            leaf = node.name
-        elif cls is Neg:
-            op = operator.neg
-        elif cls is Call:
-            op = _GRID_FUNCS[node.name]
-        elif cls is Pow:
-            n = node._int_exponent
-            op = _int_power(n) if n is not None else _real_power(node.exponent)
-        else:
-            op = _GRID_BINARY[cls]
-        vn = len(self._ops)
-        self._ops.append(op)
-        self._args.append(args)
-        self._leaves.append(leaf)
-        return vn
-
-    def number(self, roots) -> list[int]:
-        """Numbers of ``roots``, numbering every node below them without
-        recursion."""
-        by_id, by_key, nodes = self._by_id, self._by_key, self._nodes
-        out = []
-        for root in roots:
-            stack = [root]
-            while stack:
-                node = stack[-1]
-                nid = id(node)
-                if nid in by_id:
-                    stack.pop()
-                    continue
-                args = []
-                pending = False
-                for kid in _operands(node):
-                    vk = by_id.get(id(kid))
-                    if vk is None:
-                        stack.append(kid)
-                        pending = True
-                    else:
-                        args.append(vk)
-                if pending:
-                    continue
-                args = tuple(args)
-                key = _shape(node, args)
-                vn = by_key.get(key)
-                if vn is None:
-                    vn = by_key[key] = self._new_node(node, args)
-                stack.pop()
-                by_id[nid] = vn
-                nodes.append(node)
-            out.append(by_id[id(root)])
-        return out
-
-    def run(self, roots, xs, ys, known) -> list:
-        """Values of the numbers ``roots`` on ``xs``, ``ys``.
-
-        ``known`` maps numbers to values already computed on the same
-        inputs; they are leaves of the tape.  Every other node the roots
-        need is computed once, with the numpy operation of its type, in
-        number order, and dropped after its last use.
-        """
-        ops, args, leaves = self._ops, self._args, self._leaves
-        values: dict = {}
-        needed = set()
-        stack = list(roots)
-        while stack:
-            vn = stack.pop()
-            if vn in needed or vn in values:
-                continue
-            if vn in known:
-                values[vn] = known[vn]
-                continue
-            needed.add(vn)
-            stack.extend(args[vn])
-        tape = sorted(needed)
-        last_use = {}
-        for step, vn in enumerate(tape):
-            for a in args[vn]:
-                last_use[a] = step
-        for vn in roots:
-            last_use.pop(vn, None)
-        dead: dict = {}
-        for vn, step in last_use.items():
-            dead.setdefault(step, []).append(vn)
-        for step, vn in enumerate(tape):
-            op = ops[vn]
-            a = args[vn]
-            if op is None:
-                leaf = leaves[vn]
-                if leaf.__class__ is str:
-                    values[vn] = xs if leaf == "x" else ys
-                else:
-                    values[vn] = leaf
-            elif len(a) == 1:
-                values[vn] = op(values[a[0]])
-            else:
-                values[vn] = op(values[a[0]], values[a[1]])
-            for d in dead.get(step, ()):
-                del values[d]
-        return [values[vn] for vn in roots]
+def _grid(node: Expr, args: list, xs, ys):
+    """Value of one node on the tape from the values ``args`` of its
+    operands, with the numpy operation of its type and no domain check."""
+    cls = node.__class__
+    if cls is Const:
+        return node.value
+    if cls is Var:
+        return xs if node.name == "x" else ys
+    if cls is Neg:
+        return -args[0]
+    if cls is Call:
+        return _GRID_FUNCS[node.name](args[0])
+    if cls is Pow:
+        n = node._int_exponent
+        return _int_power(args[0], n) if n is not None else np.power(args[0], node.exponent)
+    return _GRID_BINARY[cls](args[0], args[1])
 
 
-def eval_grid_many(exprs, xs, ys, numbering: ValueNumbering | None = None,
-                   known: dict | None = None) -> list:
+def eval_grid_many(exprs, xs, ys, known: dict | None = None) -> list:
     """Evaluate several expressions on the same ``xs``, ``ys`` as one tape.
 
     All roots are lowered together, so a node they share, or a structurally
     equal node built twice, is computed once.  Each value is what the node's
     numpy operation gives (a float for a constant subtree), without domain
     checks.  A caller that evaluates more roots on the same inputs later
-    passes the same ``numbering`` and ``known`` dict: the roots' values are
-    added to ``known``, and later tapes take them as leaves.
+    passes the same ``known`` dict, value number -> value: the roots'
+    values are added to it, and later tapes take them as leaves.  The dict
+    holds the tokens of its numbers, so a root built again with the same
+    structure finds its value there, even after every node of the first
+    one has died.
     """
-    if numbering is None:
-        numbering = ValueNumbering()
     if known is None:
         known = {}
-    vns = numbering.number(exprs)
-    values = numbering.run(vns, xs, ys, known)
-    known.update(zip(vns, values))
-    return values
+    values: dict = {}       # number -> value, of known roots and computed nodes
+    tape: dict = {}         # number -> the node computed under it
+    stack = list(exprs)
+    while stack:
+        node = stack.pop()
+        vn = node._num
+        if vn in tape or vn in values:
+            continue
+        if vn in known:
+            values[vn] = known[vn]
+        else:
+            tape[vn] = node
+            stack.extend(_operands(node))
+    roots = [e._num for e in exprs]
+    out = _run(tape, roots, values, xs, ys)
+    known.update(zip(roots, out))
+    return out
+
+
+def _run(tape: dict, roots: list, values: dict, xs, ys) -> list:
+    """The values of the numbers ``roots``.  Each node of ``tape`` (number
+    -> node) is computed once, in number order, from the values of its
+    operands, which ``values`` holds for the known ones, and dropped after
+    its last use."""
+    order = sorted(tape, key=_DRAWN)
+    args = [[k._num for k in _operands(tape[vn])] for vn in order]
+    last_use = {}
+    for step, a in enumerate(args):
+        for k in a:
+            last_use[k] = step
+    for vn in roots:
+        last_use.pop(vn, None)
+    dead: dict = {}
+    for vn, step in last_use.items():
+        dead.setdefault(step, []).append(vn)
+    for step, vn in enumerate(order):
+        values[vn] = _grid(tape[vn], [values[k] for k in args[step]], xs, ys)
+        for d in dead.get(step, ()):
+            del values[d]
+    return [values[vn] for vn in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -778,11 +768,11 @@ _INFIX = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
 
 
 def _render(e: Expr, text: dict) -> str:
-    """Text of one node, given the text of its operands by ``id()``."""
+    """Text of one node, given the text of its operands by value number."""
     cls = type(e)
 
     def src(operand, min_level):
-        t = text[id(operand)]
+        t = text[operand._num]
         return f"({t})" if _LEVEL[type(operand)] < min_level else t
 
     if cls is Const:
@@ -790,7 +780,7 @@ def _render(e: Expr, text: dict) -> str:
     if cls is Var:
         return e.name
     if cls is Call:
-        return f"{e.name}({text[id(e.arg)]})"
+        return f"{e.name}({text[e.arg._num]})"
     if cls is Neg:
         return "-" + src(e.arg, 3)
     if cls is Pow:
@@ -805,22 +795,22 @@ def _render(e: Expr, text: dict) -> str:
 
 
 def _postorder(*roots: Expr) -> list:
-    """The distinct nodes (by identity) below ``roots``, operands first,
+    """One node of each value number below ``roots``, operands first,
     found without recursion."""
     order = []
     seen = set()
     stack = list(reversed(roots))
     while stack:
         node = stack[-1]
-        if id(node) in seen:
+        if node._num in seen:
             stack.pop()
             continue
-        pending = [k for k in _operands(node) if id(k) not in seen]
+        pending = [k for k in _operands(node) if k._num not in seen]
         if pending:
             stack.extend(pending)
             continue
         stack.pop()
-        seen.add(id(node))
+        seen.add(node._num)
         order.append(node)
     return order
 
@@ -838,25 +828,25 @@ def to_source(e: Expr) -> str:
 def to_sources(roots) -> list[str]:
     """The text of :func:`to_source` for each of ``roots``.
 
-    Each distinct node below them (by identity) is rendered once, operands
-    first and without recursion, and its text serves every root that
-    shares the node; an operand's text is dropped once every node that uses
-    it has been rendered, a root's is kept.
+    Each value number below them is rendered once, operands first and
+    without recursion, and its text serves every node of that structure;
+    an operand's text is dropped once every node that uses it has been
+    rendered, a root's is kept.
     """
     roots = list(roots)
     order = _postorder(*roots)
-    uses: dict = {id(r): 1 for r in roots}
+    uses: dict = {r._num: 1 for r in roots}
     for node in order:
         for k in _operands(node):
-            uses[id(k)] = uses.get(id(k), 0) + 1
+            uses[k._num] = uses.get(k._num, 0) + 1
     text: dict = {}
     for node in order:
-        text[id(node)] = _render(node, text)
+        text[node._num] = _render(node, text)
         for k in _operands(node):
-            uses[id(k)] -= 1
-            if not uses[id(k)]:
-                del text[id(k)]
-    return [text[id(r)] for r in roots]
+            uses[k._num] -= 1
+            if not uses[k._num]:
+                del text[k._num]
+    return [text[r._num] for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -911,12 +901,11 @@ class _Parser:
         self.text = text
         self.pos = 0            # where the lexer reads the next token
         self.closers = _closers(text)
-        self.shared: dict = {}  # structural key -> the one node of that shape
+        self.shared: dict = {}  # value number -> the one node of that structure
         self.groups: dict = {}  # group key -> (offset of its '(', inner node)
 
     def share(self, node: Expr) -> Expr:
-        key = _shape(node, tuple(id(k) for k in _operands(node)))
-        return self.shared.setdefault(key, node)
+        return self.shared.setdefault(node._num, node)
 
     def token(self) -> tuple:
         """The next token as ``(kind, text, offset)``; kind ``end`` at the

@@ -9,16 +9,14 @@ everywhere") are certified on grid samples only; the grid density is under
 caller control through ``Chart.grid``.
 
 Grid evaluation runs all the expressions of one call as one tape
-(:func:`metriconn.expr.eval_grid_many`).  Inside :func:`root_cache`, which
+(:func:`metriconn.expr.eval_grid_many`), on the value numbers the nodes
+got when they were built.  Inside :func:`root_cache`, which
 :func:`metriconn.metrizability.check_metrizability` opens for the length of
 one check (and the functions of :mod:`metriconn.volume_euler` for one
-call), the cache is the evaluation context of the call: every evaluation
-in it, on a named lattice, in :func:`integrate2`, :func:`line_integral`,
-:func:`potential_on_grid` or the RK4 transport of a parallel frame,
-numbers its expressions on the cache's one value numbering, so a node is
-numbered once per call (:meth:`Expr.eval_grid` alone numbers on its
-own).  The roots evaluated on a (chart, lattice) pair are kept and reused
-by the later evaluations on that pair.  A caller that knows which roots
+call), the roots evaluated on a (chart, lattice) pair are kept under
+their numbers and reused by the later evaluations on that pair, so a root
+equal in structure to one evaluated before is not computed again, even
+when it was built anew.  A caller that knows which roots
 its later stages will ask for runs them as one tape first with
 :func:`prefetch`: the stages share the intermediates of that tape, and
 each stage still checks its own roots, in its own order.
@@ -41,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Const, DomainError, Expr, ValueNumbering, eval_grid_many
+from .expr import Const, DomainError, Expr, eval_grid_many
 
 __all__ = [
     "Chart", "OneForm", "TwoForm",
@@ -81,6 +79,12 @@ class Chart:
             raise ValueError(f"y_range must be increasing, got {self.y_range}")
         if self.grid[0] < 8 or self.grid[1] < 8:
             raise ValueError(f"grid must be at least 8x8, got {self.grid}")
+        for axis, h, samples in (("x", self.hx, self.xs), ("y", self.hy, self.ys)):
+            if not (math.isfinite(h) and h > 0.0):
+                raise ValueError(f"{axis}_range must give a finite positive grid spacing, got {h}")
+            if not all(np.all(np.diff(samples(lattice)) > 0.0) for lattice in ("node", "mid")):
+                raise ValueError(f"{axis}_range is too narrow for its magnitude: "
+                                 "its grid samples are not distinct")
 
     @property
     def nx(self) -> int:
@@ -213,30 +217,22 @@ def wedge11(a: OneForm, b: OneForm) -> TwoForm:
 # grid evaluation
 
 
-class _RootCache:
-    """The value numbering of every evaluation while the cache is open,
-    and the grid values of every root evaluated on a chart lattice."""
-
-    def __init__(self):
-        self.numbering = ValueNumbering()
-        self.lattices: dict = {}    # (chart, lattice) -> (xs, ys, known), open meshes
-
-
-_ROOT_CACHE: ContextVar[_RootCache | None] = ContextVar("metriconn_root_cache", default=None)
+# the open root cache: (chart, lattice) -> (xs, ys, known), open meshes and
+# the grid values of the roots evaluated on them by value number
+_ROOT_CACHE: ContextVar[dict | None] = ContextVar("metriconn_root_cache", default=None)
 
 
 @contextmanager
 def root_cache():
     """Open a root cache for the length of the block.
 
-    The cache owns the value numbering of every grid evaluation in the
-    block, quadratures, potentials and frame transport included, so a node
-    built once is numbered once.  :func:`evaluate_grid` and :func:`evaluate_grid_many` on
-    a (chart, lattice) pair, and :func:`integrate2` on a chart periodic in
-    both axes, take the values of the roots already evaluated on that pair
-    as finished leaves, so a later stage does not recompute the arrays of
-    the stages before it.  Only roots are kept, never the intermediates of
-    a tape, and only on named lattices.  Roots evaluated ahead by
+    :func:`evaluate_grid` and :func:`evaluate_grid_many` on a (chart,
+    lattice) pair, and :func:`integrate2` on a chart periodic in both axes,
+    take the values of the roots already evaluated on that pair as
+    finished leaves, so a later stage does not recompute the arrays of the
+    stages before it.  A root is found by its value number, so a root
+    built again with the same structure is found too.  Only roots are
+    kept, never the intermediates of a tape, and only on named lattices.  Roots evaluated ahead by
     :func:`prefetch` are kept unchecked, and are checked by the evaluation
     that asks for them.
     The cache lives in a context variable and is gone when the block ends;
@@ -245,24 +241,18 @@ def root_cache():
     if _ROOT_CACHE.get() is not None:
         yield
         return
-    token = _ROOT_CACHE.set(_RootCache())
+    token = _ROOT_CACHE.set({})
     try:
         yield
     finally:
         _ROOT_CACHE.reset(token)
 
 
-def _numbering() -> ValueNumbering | None:
-    """The numbering of the open root cache, or ``None`` outside one."""
-    cache = _ROOT_CACHE.get()
-    return cache.numbering if cache is not None else None
-
-
-def _lattice(cache: _RootCache, chart: Chart, lattice: str) -> tuple:
+def _lattice(cache: dict, chart: Chart, lattice: str) -> tuple:
     """The open meshes and the known roots of a chart lattice in a cache."""
-    entry = cache.lattices.get((chart, lattice))
+    entry = cache.get((chart, lattice))
     if entry is None:
-        entry = cache.lattices[(chart, lattice)] = (*_open_mesh(chart, lattice), {})
+        entry = cache[(chart, lattice)] = (*_open_mesh(chart, lattice), {})
     return entry
 
 
@@ -272,8 +262,8 @@ def prefetch(exprs, chart: Chart) -> None:
 
     ``exprs`` is an expression, a form, or any nesting of them, as for
     :func:`sup_norm`.  Outside :func:`root_cache` this does nothing.
-    Inside it, all the roots run as one tape on the cache's numbering, so
-    an intermediate they share is computed once, and their raw values join
+    Inside it, all the roots run as one tape, so an intermediate they
+    share is computed once, and their raw values join
     the lattice's known roots unchecked.  A later :func:`evaluate_grid_many` or
     :func:`sup_norm` takes them as leaves and checks them then: a guard
     that fails, or a DomainError, comes from the stage that asks, at the
@@ -284,7 +274,7 @@ def prefetch(exprs, chart: Chart) -> None:
         return
     xs, ys, known = _lattice(cache, chart, "mid")
     with np.errstate(all="ignore"):
-        eval_grid_many(_flatten_exprs(exprs), xs, ys, cache.numbering, known)
+        eval_grid_many(_flatten_exprs(exprs), xs, ys, known)
 
 
 def _checked(expr: Expr, raw, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -293,7 +283,7 @@ def _checked(expr: Expr, raw, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     its own (smaller) shape; for a sample outside the expression's domain,
     the first in row-major order of the broadcast shape is located and a
     DomainError raised there."""
-    shape = np.broadcast_shapes(np.shape(xs), np.shape(ys))
+    shape = np.broadcast(xs, ys).shape
     raw = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(raw)):
         idx = tuple(np.argwhere(~np.isfinite(np.broadcast_to(raw, shape)))[0])
@@ -305,11 +295,10 @@ def _checked(expr: Expr, raw, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_on(exprs, xs: np.ndarray, ys: np.ndarray, known=None) -> list[np.ndarray]:
-    """Evaluate expressions on open meshes as one tape, checked in order,
-    on the numbering of the open root cache if there is one.  ``known``
-    holds the roots already evaluated on these meshes."""
+    """Evaluate expressions on open meshes as one tape, checked in order.
+    ``known`` holds the roots already evaluated on these meshes."""
     with np.errstate(all="ignore"):
-        raws = eval_grid_many(exprs, xs, ys, _numbering(), known)
+        raws = eval_grid_many(exprs, xs, ys, known)
     return [_checked(e, raw, xs, ys) for e, raw in zip(exprs, raws)]
 
 

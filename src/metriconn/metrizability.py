@@ -384,7 +384,9 @@ def check_metrizability(theta: ConnectionMatrix, chart: Chart | None = None, *,
 
     One root cache (:func:`~metriconn.forms.root_cache`) is open for the
     length of the call, so each stage takes the grid arrays of the
-    expressions the stages before it evaluated as finished leaves.  Once
+    expressions the stages before it evaluated as finished leaves.  The
+    cache finds them by the value numbers the nodes got when they were
+    built, so an expression a stage builds again is found too.  Once
     the eigenvalue test passes, every root the later stages ask for (``S``,
     the determinant of ``A``, the transformed connection and its
     conditions, ``tr theta``, the metric and its compatibility residual)

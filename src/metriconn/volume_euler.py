@@ -13,12 +13,11 @@ is the Euler 2-form; its integral is the Euler number used to compare
 metric-equivalent connections.
 
 :func:`volume_criterion`, :func:`euler_form` and :func:`compare_euler`
-each run in one root cache (:func:`~metriconn.forms.root_cache`), the
-evaluation context of the call: every grid evaluation in it, quadratures,
-line integrals and potentials included, numbers its expressions on the
-cache's one numbering.  A call inside another joins its cache, so the two
-Euler forms of :func:`compare_euler` share the grid arrays of their
-metric.  :func:`euler_form` evaluates the roots of all its guards (the
+each run in one root cache (:func:`~metriconn.forms.root_cache`), which
+keeps the grid arrays of the roots evaluated on a chart lattice by their
+value numbers, so a later stage of the call takes them as they are.  A
+call inside another joins its cache, so the two Euler forms of
+:func:`compare_euler` share the grid arrays of their metric.  :func:`euler_form` evaluates the roots of all its guards (the
 metric entries, the compatibility residual, the connection, the frame's
 determinant and the symmetric parts of the transformed connection) as
 one tape before the first guard, which still checks them in the old

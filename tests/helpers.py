@@ -11,7 +11,7 @@ import numpy as np
 from metriconn.expr import ONE, ZERO, Const, Expr, X, Y, cos, eval_grid_many, exp, ln, sin, sqrt
 from metriconn.expr import (
     _CONSTANTS, _TOKEN_RE, FUNCTIONS, ParseError,
-    _add, _call, _div, _mul, _neg, _operands, _pow, _shape, _sub,
+    _add, _call, _div, _mul, _neg, _pow, _sub,
 )
 from metriconn.forms import Chart, OneForm, evaluate_grid_many, grid_derivative
 from metriconn.connection import ConnectionMatrix, FrameChange, curvature, gauge_transform
@@ -487,8 +487,9 @@ def reference_flat_frame(theta: ConnectionMatrix, basepoint=None):
 
 class _ReferenceParser:
     """The recursive-descent parser that read expression text before the
-    stack parser, unchanged: it lexes the whole text first, then descends
-    one Python frame per grammar level and per parenthesis."""
+    stack parser, unchanged but for the key of its table of shared
+    subtrees, now the value number: it lexes the whole text first, then
+    descends one Python frame per grammar level and per parenthesis."""
 
     def __init__(self, text: str):
         self.text = text
@@ -511,8 +512,7 @@ class _ReferenceParser:
         self.shared: dict = {}
 
     def share(self, node: Expr) -> Expr:
-        key = _shape(node, tuple(id(k) for k in _operands(node)))
-        return self.shared.setdefault(key, node)
+        return self.shared.setdefault(node._num, node)
 
     def peek(self):
         return self.tokens[self.index]

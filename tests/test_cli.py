@@ -392,19 +392,33 @@ def test_basepoint_outside_the_chart_is_input_error(command):
     assert "outside the chart" in err
 
 
+def _chart_case(axis, bounds, grid, message):
+    return pytest.param(axis, bounds, grid, message, id=f"{axis}-{bounds}")
+
+
 @pytest.mark.parametrize("command", ["volume", "euler", "torsion", "check"])
-@pytest.mark.parametrize("axis,bounds", [("x", "0 .. inf"), ("y", "-inf .. 0"), ("x", "nan .. 1")])
-def test_non_finite_chart_bounds_are_input_errors(tmp_path, command, axis, bounds):
+@pytest.mark.parametrize("axis,bounds,grid,message", [
     # an infinite bound gave a closed volume form with NaN potentials, a NaN
     # Euler number and a non-JSON 'Infinity' chart field, all with exit 0
+    _chart_case("x", "0 .. inf", 16, "x_range must be finite"),
+    _chart_case("y", "-inf .. 0", 16, "y_range must be finite"),
+    _chart_case("x", "nan .. 1", 16, "x_range must be finite"),
+    # a width that overflows, or cells that underflow to 0, gave NaN in the
+    # JSON report with exit 0
+    _chart_case("x", "-1e308 .. 1e308", 16, "x_range must give a finite positive grid spacing"),
+    _chart_case("x", "0 .. 5e-324", 16, "x_range must give a finite positive grid spacing"),
+    # 50 distinct node samples out of 64, and still a verdict
+    _chart_case("x", "1e16 .. 1.00000000000001e16", 64, "x_range is too narrow"),
+])
+def test_non_finite_chart_bounds_are_input_errors(tmp_path, command, axis, bounds, grid, message):
     ranges = {"x": "0 .. 1", "y": "0 .. 1", axis: bounds}
     path = tmp_path / "unbounded.conn"
-    path.write_text(f"[chart]\nx = {ranges['x']}\ny = {ranges['y']}\ngrid = 16 16\n\n"
+    path.write_text(f"[chart]\nx = {ranges['x']}\ny = {ranges['y']}\ngrid = {grid} {grid}\n\n"
                     "[connection]\ntheta.1.2.dy = 1\ntheta.2.1.dy = -1\n\n"
                     "[metric]\ng.1.1 = 1\ng.2.2 = 1\n", encoding="utf-8")
     code, out, err = run_cli(command, str(path), "--json")
     assert (code, out) == (3, "")
-    assert f"{axis}_range must be finite" in err
+    assert message in err
 
 
 def test_deeply_parenthesised_coefficient(tmp_path):

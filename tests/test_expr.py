@@ -1,5 +1,11 @@
+import copy
 import math
+import os
+import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +37,7 @@ from metriconn.expr import (
     to_source,
     to_sources,
 )
+from metriconn.forms import evaluate_grid_many
 from metriconn.metrizability import check_metrizability
 
 from helpers import random_points, random_safe_expr, scrambled_instance, torus_chart
@@ -319,3 +326,71 @@ def test_expressions_are_pure():
     e = parse("sin(x)*exp(y) + x^3")
     first = [e.eval(0.3, -1.2) for _ in range(5)]
     assert len(set(first)) == 1
+
+
+# ---------------------------------------------------------------------------
+# pickling and copying: every node is rebuilt through its class
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# dumps an expression, or builds other expressions first and then loads one
+# and evaluates it on one tape with them, printing the bits of its samples
+PICKLE_SCRIPT = """
+import pickle, sys
+import numpy as np
+from metriconn.expr import X, Y, cos, eval_grid_many, exp, sin
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(sin(X) * Y + 2.0))
+else:
+    others = [cos(X) * Y + 3.0, exp(Y) - X, cos(Y) * 2.0, sin(Y) * X + 2.0]
+    e = pickle.loads(sys.stdin.buffer.read())
+    xs, ys = np.linspace(0.1, 1.0, 7)[:, None], np.linspace(-1.0, 1.0, 5)[None, :]
+    values = eval_grid_many([*others, e], xs, ys)
+    sys.stdout.write(np.broadcast_to(values[-1], (7, 5)).tobytes().hex())
+"""
+
+
+def test_a_connection_survives_a_pickle_round_trip():
+    chart = torus_chart((16, 16))
+    _, _, theta = scrambled_instance(np.random.default_rng(7), chart)
+    again = pickle.loads(pickle.dumps(theta))
+    assert again.chart == theta.chart
+
+    def coefficients(c):
+        return [e for row in c.entries for form in row for e in (form.p, form.q)]
+
+    assert to_sources(coefficients(again)) == to_sources(coefficients(theta))
+    got = evaluate_grid_many(coefficients(again), chart)
+    want = evaluate_grid_many(coefficients(theta), chart)
+    assert [a.tobytes() for a in got] == [w.tobytes() for w in want]
+
+
+def test_an_unpickled_expression_keeps_its_values_in_a_fresh_process():
+    env = {**os.environ, "PYTHONPATH": SRC}
+
+    def child(mode, data=None):
+        return subprocess.run([sys.executable, "-c", PICKLE_SCRIPT, mode], input=data,
+                              capture_output=True, check=True, env=env, timeout=120).stdout
+
+    got = bytes.fromhex(child("load", child("dump")).decode())
+    xs, ys = np.linspace(0.1, 1.0, 7)[:, None], np.linspace(-1.0, 1.0, 5)[None, :]
+    [want] = eval_grid_many([sin(X) * Y + 2.0], xs, ys)
+    assert got == np.broadcast_to(want, (7, 5)).tobytes()
+
+
+def test_deepcopy_rebuilds_an_expression():
+    e = sin(X) * Y + 2.0
+    e.diff("x")
+    c = copy.deepcopy(e)
+    assert c is not e and to_source(c) == to_source(e)
+    # equal structure, so one number; the derivative cache is not copied
+    assert c._num is e._num and c._dcache is None
+    assert copy.deepcopy(Const(-0.0)).value.hex() == "-0x0.0p+0"
+
+
+def test_a_deep_expression_pickles_without_recursion():
+    e = X
+    for k in range(5000):
+        e = e + Y if k % 2 else e * 1.5
+    again = pickle.loads(pickle.dumps(e))
+    assert again is not e and again._num is e._num

@@ -34,7 +34,7 @@ from helpers import reference_eval_grid, scrambled_instance
 from test_tape import SPECS, derived_exprs
 
 
-def full_mesh_evaluate_on(exprs, xs, ys, numbering=None, known=None):
+def full_mesh_evaluate_on(exprs, xs, ys, known=None):
     """``forms._evaluate_on`` as it was before open meshes: the reference
     walk on full, contiguous meshes, each value broadcast to them, and a
     non-finite sample located on the full mesh."""
@@ -206,9 +206,8 @@ def test_one_axis_roots_stay_one_axis_in_the_root_cache():
     roots = [sin(X) * 2.0, cos(Y) + 1.0, sin(X) * Y, Const(3.0)]
     with root_cache():
         values = evaluate_grid_many(roots, chart)
-        cache = forms._ROOT_CACHE.get()
-        [(xs, ys, known)] = cache.lattices.values()
-        kept = [np.shape(known[vn]) for vn in cache.numbering.number(roots)]
+        [(xs, ys, known)] = forms._ROOT_CACHE.get().values()
+        kept = [np.shape(known[root._num]) for root in roots]
     assert (xs.shape, ys.shape) == ((16, 1), (1, 12))
     assert kept == [(16, 1), (1, 12), (16, 12), ()]
     for value in values:

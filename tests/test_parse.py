@@ -21,9 +21,8 @@ from metriconn.connection import compatibility_residual
 from metriconn.expr import (
     Call,
     ParseError,
-    ValueNumbering,
     X,
-    _postorder,
+    _operands,
     eval_grid_many,
     parse,
     to_source,
@@ -41,16 +40,37 @@ MALFORMED = [
 ]
 
 
+def distinct_nodes(e) -> list:
+    """The distinct node objects (by identity) below ``e``, operands first."""
+    order, seen, stack = [], set(), [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in seen:
+            stack.pop()
+            continue
+        pending = [k for k in _operands(node) if id(k) not in seen]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        seen.add(id(node))
+        order.append(node)
+    return order
+
+
 def outcome(parser, text: str):
     """What ``parser`` makes of ``text``: the error's (offset, message,
     token), or the tree's source, the value numbers of its distinct nodes in
-    post-order, and their count."""
+    post-order, and their count.  The numbers are renumbered from 0 in order
+    of first appearance, as a numbering of this tree alone would give."""
     try:
         e = parser(text)
     except ParseError as err:
         return ("error", err.offset, err.message, err.token)
-    nodes = _postorder(e)
-    return ("tree", to_source(e), ValueNumbering().number(nodes), len(nodes))
+    nodes = distinct_nodes(e)
+    first: dict = {}
+    numbers = [first.setdefault(node._num.n, len(first)) for node in nodes]
+    return ("tree", to_source(e), numbers, len(nodes))
 
 
 def assert_same_as_reference(text: str):

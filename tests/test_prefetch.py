@@ -6,16 +6,15 @@ still come."""
 from __future__ import annotations
 
 import collections
-import io
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metriconn import cli, forms, metrizability, volume_euler
+from metriconn import expr, forms, metrizability, volume_euler
 from metriconn.connection import ConnectionMatrix, MetricField, gauge_transform
-from metriconn.expr import Const, DomainError, ValueNumbering, X, Y, cos, exp, ln, sin
+from metriconn.expr import Const, DomainError, Expr, X, Y, cos, exp, ln, sin
 from metriconn.forms import (
     Chart,
     OneForm,
@@ -29,12 +28,11 @@ from metriconn.forms import (
 from metriconn.gallery import RiemannianMetric2D, levi_civita, semi_symmetric
 from metriconn.metrizability import Verdict, check_metrizability
 from metriconn.specfile import load_spec
-from metriconn.volume_euler import NotCompatible, compare_euler, euler_form, volume_criterion
+from metriconn.volume_euler import NotCompatible, compare_euler, euler_form
 
 from helpers import (
     random_gauge,
     reference_eval_grid,
-    scrambled_flat_connection,
     skew_connection,
     torus_chart,
     trig_poly,
@@ -63,49 +61,59 @@ def with_trace(theta: ConnectionMatrix) -> ConnectionMatrix:
 
 
 class TapeLog:
-    """Counts how often each value number is computed by
-    ``ValueNumbering.run`` while ``recording`` is set, per numbering and
-    per sample points: a root cache numbers every evaluation in it on one
-    numbering, and a number run on other points (a quadrature's nodes, a
-    potential's gridlines) is other work, not a repeat."""
+    """Counts how often each structure is computed by the tape
+    (``expr._run``) while ``recording`` is set, per set of sample points.
+    Structures are numbered by a table of the log, which outlives the
+    nodes, so a node that dies and is built again under a new value number
+    still counts as a repeat; a structure run on other points (a
+    quadrature's nodes, a potential's gridlines) is other work, not a
+    repeat."""
 
     def __init__(self, monkeypatch):
         self.recording = False
         self.inputs: list = []          # kept, so that no id() is reused
-        self.numberings: set = set()    # id() of the numberings that ran
+        self.shapes: dict = {}          # (type, payload, operand shapes) -> shape
         self.steps = collections.Counter()
-        inner = ValueNumbering.run
+        inner = expr._run
         log = self
 
-        def run(numbering, roots, xs, ys, known):
+        def run(tape, roots, values, xs, ys):
             if log.recording:
-                log.inputs.append((numbering, xs, ys))
-                log.numberings.add(id(numbering))
-                for vn in self.tape(numbering, roots, known):
-                    log.steps[(id(numbering), id(xs), id(ys), vn)] += 1
-            return inner(numbering, roots, xs, ys, known)
+                log.inputs.append((xs, ys))
+                for shape in log.shapes_of(tape.values()):
+                    log.steps[(id(xs), id(ys), shape)] += 1
+            return inner(tape, roots, values, xs, ys)
 
-        monkeypatch.setattr(ValueNumbering, "run", run)
+        monkeypatch.setattr(expr, "_run", run)
 
-    @staticmethod
-    def tape(numbering, roots, known) -> set:
-        """The numbers a run on ``roots`` computes: every number below them
-        that is not known, as ``ValueNumbering.run`` collects them."""
-        needed, stack = set(), list(roots)
-        while stack:
-            vn = stack.pop()
-            if vn in needed or vn in known:
-                continue
-            needed.add(vn)
-            stack.extend(numbering._args[vn])
-        return needed
+    def shapes_of(self, nodes) -> list:
+        """The structure number of each of ``nodes``: its type, its payload
+        (by ``repr``, so ``-0.0`` and ``0.0`` stay apart) and the numbers of
+        its operands."""
+        seen: dict = {}                 # id(node) -> shape, for live nodes only
+        for root in nodes:
+            stack = [root]
+            while stack:
+                node = stack[-1]
+                if id(node) in seen:
+                    stack.pop()
+                    continue
+                kids = expr._operands(node)
+                pending = [k for k in kids if id(k) not in seen]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                stack.pop()
+                payload = tuple(repr(a) for a in expr._init_args(node) if not isinstance(a, Expr))
+                key = (type(node), payload, tuple(seen[id(k)] for k in kids))
+                seen[id(node)] = self.shapes.setdefault(key, len(self.shapes))
+        return [seen[id(node)] for node in nodes]
 
-    def runs_of(self, expr) -> int:
-        """How often the value number of ``expr`` was computed, on every
-        numbering and every set of sample points."""
-        numbers = {id(n): n._by_id.get(id(expr)) for n, _, _ in self.inputs}
-        return sum(count for (numbering, _, _, vn), count in self.steps.items()
-                   if numbers[numbering] == vn)
+    def runs_of(self, e) -> int:
+        """How often the structure of ``e`` was computed, on every set of
+        sample points."""
+        [shape] = self.shapes_of([e])
+        return sum(count for (_, _, s), count in self.steps.items() if s == shape)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +139,7 @@ def test_each_value_number_runs_at_most_once_after_the_eigen_test(monkeypatch, c
     assert (report.conformal_log is not None) is conformal
     assert log.steps, "nothing ran after the eigen test"
     repeated = {key: n for key, n in log.steps.items() if n > 1}
-    assert not repeated, f"{len(repeated)} value numbers ran more than once"
+    assert not repeated, f"{len(repeated)} structures ran more than once"
 
 
 # a closed one-form: the semi-symmetric connection built from it
@@ -153,54 +161,10 @@ def test_compare_euler_evaluates_the_metric_entries_once(monkeypatch):
     log = TapeLog(monkeypatch)
     log.recording = True
     assert compare_euler(semi, levi, g.metric) <= 1e-8
-    # both Euler forms, their quadratures included, run on the numbering
-    # of one cache, and each quadrature samples the cache's "mid" lattice
-    assert len(log.numberings) == 1
+    # both Euler forms, their quadratures included, run in one cache, and
+    # each quadrature samples the cache's "mid" lattice
     for entry in (g.metric.entries[0][0], g.metric.entries[1][1]):
         assert log.runs_of(entry) == 1
-
-
-def count_numberings(monkeypatch) -> list:
-    """The list of every ``ValueNumbering`` made from now on."""
-    made = []
-    init = ValueNumbering.__init__
-
-    def counting_init(numbering):
-        init(numbering)
-        made.append(numbering)
-
-    monkeypatch.setattr(ValueNumbering, "__init__", counting_init)
-    return made
-
-
-def test_a_volume_or_euler_call_numbers_on_one_numbering(monkeypatch):
-    g, semi, levi = torus_pair(CLOSED)
-    made = count_numberings(monkeypatch)
-    report = volume_criterion(semi)
-    # the potential and the loop integrals ran on the call's numbering
-    assert report.closed and report.log_f is not None
-    assert len(made) == 1
-    made.clear()
-    assert compare_euler(semi, levi, g.metric) <= 1e-8
-    assert len(made) == 1
-
-
-def test_a_flat_check_numbers_on_one_numbering(monkeypatch):
-    theta = scrambled_flat_connection(torus_chart((64, 64)))
-    made = count_numberings(monkeypatch)
-    report = check_metrizability(theta)
-    # the frame's RK4 legs and residuals sample the coefficients on the
-    # check's numbering
-    assert report.verdict is Verdict.FLAT
-    assert len(made) == 1
-
-
-def test_a_cli_compare_numbers_on_one_numbering(monkeypatch):
-    made = count_numberings(monkeypatch)
-    out, err = io.StringIO(), io.StringIO()
-    assert cli.run(["compare", str(SPECS / "compare_pair.conn"), "--json"], out, err) == 0
-    # both Euler forms run in one root cache, as in compare_euler
-    assert len(made) == 1
 
 
 def test_torus_quadrature_gives_the_same_bits_in_and_out_of_a_cache(monkeypatch):

@@ -3,13 +3,14 @@ sharing, caching, recursion and memory properties."""
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metriconn import forms
+from metriconn import expr, forms
 from metriconn.connection import (
     FrameChange,
     compatibility_residual,
@@ -21,9 +22,9 @@ from metriconn.expr import (
     Const,
     Div,
     Mul,
-    ValueNumbering,
     X,
     Y,
+    cos,
     eval_grid_many,
     parse,
     sin,
@@ -157,20 +158,55 @@ def test_signed_zero_constants_stay_apart_in_one_batch():
     got = eval_grid_many([negative, positive], xs, xs)
     assert np.all(np.signbit(got[0])) and not np.any(np.signbit(got[1]))
     assert_matches_reference([negative, positive], xs, xs)
-    numbering = ValueNumbering()
-    assert len(set(numbering.number([negative, positive]))) == 2
+    assert negative._num.n != positive._num.n
 
 
 def test_structurally_equal_nodes_share_one_value_number():
     a, b = sin(X) * Y, sin(X) * Y
     assert a is not b
-    numbering = ValueNumbering()
-    va, vb = numbering.number([a, b])
-    assert va == vb
+    assert a._num.n == b._num.n
     # the tape computes the shared node once and returns it for both roots
     xs = np.linspace(0.0, 1.0, 5)
     ra, rb = eval_grid_many([a, b], xs, xs)
     assert ra is rb
+
+
+def test_equal_nodes_are_numbered_not_merged(monkeypatch):
+    a, b = sin(X) * Y, sin(X) * Y
+    assert a is not b and a.left is not b.left
+    # each object keeps its own derivative cache
+    a.diff("x")
+    assert a._dcache is not None and b._dcache is None
+    assert a._num is b._num and a.left._num is b.left._num
+    # one number is computed once on one tape
+    computed = []
+    run = expr._run
+
+    def logging_run(tape, *args):
+        computed.extend(tape)
+        return run(tape, *args)
+
+    monkeypatch.setattr(expr, "_run", logging_run)
+    xs = np.linspace(0.0, 1.0, 5)
+    ra, rb = eval_grid_many([a, b, a * 1.5, b * 1.5], xs, xs)[:2]
+    assert ra is rb
+    assert computed.count(a._num) == 1 and computed.count(a.left._num) == 1
+    assert len(computed) == len(set(computed))
+
+
+def test_value_numbers_are_never_reused():
+    # structures no other test builds, so that no live node holds their numbers
+    chart = torus_chart((12, 12))
+    with root_cache():
+        e = sin(X * 0.375)
+        first = e._num.n
+        evaluate_grid(e, chart)
+        del e
+        gc.collect()
+        e = cos(X * 0.375)
+        assert e._num.n > first
+        value = evaluate_grid(e, chart)
+    assert np.array_equal(value, np.cos(chart.mesh()[0] * 0.375))
 
 
 def test_memo_entries_act_as_leaves():

@@ -24,8 +24,8 @@ from metriconn.connection import compatibility_residual
 from metriconn.expr import (
     DomainError,
     Expr,
-    ValueNumbering,
     _operands,
+    _postorder,
     parse,
     to_source,
 )
@@ -68,15 +68,9 @@ def corpus_of_scramble(seed: int) -> list[Expr]:
 
 
 def assert_same_structure(a: Expr, b: Expr):
-    # one numbering: equal numbers are equal structure; a fresh numbering of
-    # each: the same number for the root and the same count of shapes
-    shared = ValueNumbering()
-    assert shared.number([a]) == shared.number([b])
-    fresh = []
-    for e in (a, b):
-        numbering = ValueNumbering()
-        fresh.append((numbering.number([e]), len(numbering._ops)))
-    assert fresh[0] == fresh[1]
+    # equal numbers are equal structure, and so is the count of shapes below
+    assert a._num.n == b._num.n
+    assert len(_postorder(a)) == len(_postorder(b))
     assert to_source(a) == to_source(b)
 
 
