@@ -129,8 +129,8 @@ def _verdict_fields(report: MetrizabilityReport):
         yield "diagnostics.min_det_u", report.min_det_u
     if report.max_abs_trace_u is not None:
         yield "diagnostics.max_abs_trace_u", report.max_abs_trace_u
-    if report.max_skew_residual is not None:
-        yield "diagnostics.max_skew_residual", report.max_skew_residual
+    if report.max_parallel_residual is not None:
+        yield "diagnostics.max_parallel_residual", report.max_parallel_residual
     if report.compat_residual is not None:
         yield "diagnostics.compat_residual", report.compat_residual
     if report.frame_residual is not None:

@@ -48,7 +48,7 @@ class Tolerances:
     flat: float = 1e-9          # scaled by 1 + sup|theta|
     eigen_trace: float = 1e-8   # scaled pointwise by max|U|
     eigen_det: float = 1e-10    # scaled pointwise by max|U|^2
-    skew: float = 1e-8          # scaled by 1 + sup|theta'|
+    skew: float = 1e-8          # bounds |P| / scale at each sample (parallel test)
     compat: float = 1e-8        # scaled by metric/connection magnitudes
 
     def scaled(self, factor: float) -> "Tolerances":

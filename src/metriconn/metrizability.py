@@ -3,19 +3,21 @@
 The decision pipeline: compute the curvature matrix; handle the flat case
 through a parallel frame; otherwise factor the volume form out of the
 curvature, test pointwise for purely imaginary eigenvalues of the
-coefficient matrix, build the closed-form symmetric positive solution of
-the 2x2 twisted Lyapunov equation ``U S + S U^T = 0``, take its square
-root, and test the connection matrix in the transformed frame.
+coefficient matrix ``U``, and test the parallel condition in the given
+frame.  With ``U``'s traceless part ``[[a, b], [c, -a]]`` and ``det U > 0``,
+every symmetric ``G`` with ``G U + U^T G = 0`` is a multiple of
+``G0 = [[c, -a], [-a, -b]]``, and ``exp(phi) G0`` is parallel exactly when
 
-The symmetrizer is normalized to determinant one, which fixes its scale
-ambiguity but leaves the transformed connection matrix skew only up to a
-multiple of the identity (rescaling a frame by a scalar field shifts its
-connection matrix by d(log scale) times the identity).  The decision
-therefore tests the off-diagonal antisymmetry and the equality of the
-diagonal entries; the leftover identity component is the closed trace
-form, whose potential supplies a conformal factor on the recovered
-metric.  A positive verdict comes with that metric, independently
-validated against the compatibility residual.
+    P = det U (dG0 - theta^T G0 - G0 theta + tr(theta) G0) - 1/2 d(det U) G0
+
+vanishes in its dx and dy parts, with ``d phi = tr(theta) - 1/2 d log det U``
+(closed, since ``tr U = 0``).  ``P`` is a polynomial in ``U``, ``dU`` and
+``theta``, so it keeps its accuracy where the curvature is small.  It is
+tested sample by sample against its scale; a sample where the rounding of
+``U`` could reach the tolerance is uncertified, and never a witness.  A
+positive verdict comes with the adjugate of the det-1 solution ``S`` of
+``U S + S U^T = 0``, rescaled by the potential of the trace form, and
+independently validated against the compatibility residual.
 
 All pointwise verdicts are certified on grid samples only; the grid and
 every tolerance used are recorded in the report.
@@ -33,6 +35,7 @@ from .forms import (
     Chart,
     OneForm,
     TwoForm,
+    d0,
     evaluate_grid_many,
     generator_loop_integrals,
     potential_on_grid,
@@ -46,10 +49,7 @@ from .connection import (
     CurvatureMatrix,
     MetricField,
     Tolerances,
-    _check_nonsingular,
     _curvature_peak,
-    _det2,
-    _gauge_transformed,
     _not_spd,
     _parallel_frame,
     _vanishing,
@@ -154,7 +154,7 @@ class MetrizabilityReport:
     metric_samples: np.ndarray | None = None
     conformal_log: np.ndarray | None = None
     conformal_defects: tuple[float, float] | None = None
-    max_skew_residual: float | None = None
+    max_parallel_residual: float | None = None
     min_det_u: float | None = None
     max_abs_trace_u: float | None = None
     curvature_zero_fraction: float = 0.0
@@ -266,16 +266,21 @@ def skew_symmetrizer(matrix, chart: Chart,
         bad = ~ok
         raise EigenPreconditionFailed(
             chart.first_point(bad), float(trace[bad][0]), float(det[bad][0]))
-    return _symmetrizer(matrix)
+    return _symmetrizer(*_traceless_parts(matrix))
 
 
-def _symmetrizer(matrix):
-    """The closed form of :func:`skew_symmetrizer`, for a ``U`` known to
-    pass the eigenvalue test."""
+def _traceless_parts(matrix):
+    """``(a, b, c, -(a^2 + b c))``: the traceless part ``[[a, b], [c, -a]]``
+    of a 2x2 matrix of expressions, and its determinant."""
     a = (matrix[0][0] - matrix[1][1]) * Const(0.5)
     b = matrix[0][1]
     c = matrix[1][0]
-    disc = -(a * a + b * c)
+    return a, b, c, -(a * a + b * c)
+
+
+def _symmetrizer(a, b, c, disc):
+    """The closed form of :func:`skew_symmetrizer`, for a ``U`` known to
+    pass the eigenvalue test."""
     root = expr_sqrt((b * b) * disc)
     s11 = (b * b) / root
     s12 = (-(a * b)) / root
@@ -291,7 +296,13 @@ def spd_sqrt(s, chart: Chart):
     grid.
     """
     _check_spd_det_one(s, chart)
-    return _sqrt_form(s)
+    s11, s12, s21, s22 = s[0][0], s[0][1], s[1][0], s[1][1]
+    denom = expr_sqrt(s11 + s22 + Const(2.0))
+    q11 = (s11 + Const(1.0)) / denom
+    q12 = s12 / denom
+    q21 = s21 / denom if s21 is not s12 else q12
+    q22 = (s22 + Const(1.0)) / denom
+    return ((q11, q12), (q21, q22))
 
 
 def _check_spd_det_one(s, chart: Chart) -> None:
@@ -304,22 +315,35 @@ def _check_spd_det_one(s, chart: Chart) -> None:
         raise NotSPD(chart.first_point(off), f"det = {det[off][0]:.6g} != 1")
 
 
-def _sqrt_form(s):
-    """The closed form of :func:`spd_sqrt`, for an ``S`` known to pass its
-    guard."""
-    s11, s12, s21, s22 = s[0][0], s[0][1], s[1][0], s[1][1]
-    denom = expr_sqrt(s11 + s22 + Const(2.0))
-    q11 = (s11 + Const(1.0)) / denom
-    q12 = s12 / denom
-    q21 = s21 / denom if s21 is not s12 else q12
-    q22 = (s22 + Const(1.0)) / denom
-    return ((q11, q12), (q21, q22))
-
-
 def recover_metric(s) -> MetricField:
     """Metric making the transformed frame orthonormal, expressed in the
     original frame: the adjugate of the det-1 symmetrizer."""
     return MetricField.symmetric(s[1][1], -s[0][1], s[0][0])
+
+
+def _trace_shifted(residual, tr_theta: OneForm, g: MetricField):
+    """``residual + tr(theta) g`` for the compatibility residual of ``g``:
+    the residual of ``exp(L) g`` over ``exp(L) > 0``, where ``dL = tr(theta)``."""
+    return tuple(tuple(residual[i][j] + tr_theta.scaled(g.entries[i][j]) for j in range(2))
+                 for i in range(2))
+
+
+def _parallel_residual(theta: ConnectionMatrix, g0: MetricField, det_u, tr_theta: OneForm):
+    """The dx and dy coefficients of the entries (1,1), (1,2) and (2,2) of
+    ``P = det U (R + tr(theta) G0) - 1/2 d(det U) G0``, with ``R`` the
+    compatibility residual of ``G0``."""
+    shifted = _trace_shifted(compatibility_residual(theta, g0), tr_theta, g0)
+    half_ddet = d0(det_u).scaled(Const(0.5))
+    out = []
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        entry = shifted[i][j].scaled(det_u) - half_ddet.scaled(g0.entries[i][j])
+        out += [entry.p, entry.q]
+    return out
+
+
+def _peak(exprs, chart: Chart) -> np.ndarray:
+    """The largest absolute value of ``exprs`` at each sample."""
+    return np.max(np.abs(evaluate_grid_many(exprs, chart)), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +363,6 @@ def symplectic_identity_residual(x) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _skewness(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m + m.T)))
-
-
 def transition_orthogonality(a, b, u) -> float:
     """Distance of ``A^-1 B`` from the orthogonal group, for two det-1
     conjugators that both take ``U`` to a skew matrix.
@@ -359,7 +379,8 @@ def transition_orthogonality(a, b, u) -> float:
             raise ValueError(f"det {name} = {det!r}, expected 1")
     scale = float(np.max(np.abs(u))) + 1.0
     for name, m in (("A", a), ("B", b)):
-        skew = _skewness(np.linalg.inv(m) @ u @ m)
+        conjugate = np.linalg.inv(m) @ u @ m
+        skew = float(np.max(np.abs(conjugate + conjugate.T)))
         if skew > 1e-10 * scale:
             raise ValueError(f"{name}^-1 U {name} is not skew (residual {skew:.3g})")
     s = np.linalg.inv(a) @ b
@@ -368,6 +389,10 @@ def transition_orthogonality(a, b, u) -> float:
 
 # ---------------------------------------------------------------------------
 # orchestration
+
+# The rounding floor of P / scale, in units of eps (|d theta| + |theta|^2) / |U|
+# (the relative rounding of U); scrambled skew connections stay below 9 units.
+_ROUNDING = 32.0
 
 
 def check_metrizability(theta: ConnectionMatrix, chart: Chart | None = None, *,
@@ -378,8 +403,10 @@ def check_metrizability(theta: ConnectionMatrix, chart: Chart | None = None, *,
     Returns a report whose verdict is one of ``Metric`` (with the recovered
     metric), ``Flat`` (with a sampled parallel metric and loop defects),
     ``NotMetricEigen`` / ``NotMetricSkew`` (with a witness point), or
-    ``Inconclusive`` (the sampled curvature-zero set is a proper nonempty
-    subset of the grid, where the pointwise construction does not apply).
+    ``Inconclusive``: the sampled curvature-zero set is a proper nonempty
+    subset of the grid, where the pointwise construction does not apply;
+    or every sample that fails the parallel test is uncertified; or the
+    recovered metric fails its compatibility check.
     A basepoint outside the chart is a ValueError, whatever the verdict.
 
     One root cache (:func:`~metriconn.forms.root_cache`) is open for the
@@ -388,14 +415,14 @@ def check_metrizability(theta: ConnectionMatrix, chart: Chart | None = None, *,
     cache finds them by the value numbers the nodes got when they were
     built, so an expression a stage builds again is found too.  Once
     the eigenvalue test passes, every root the later stages ask for (``S``,
-    the determinant of ``A``, the transformed connection and its
-    conditions, ``tr theta``, the metric and its compatibility residual)
-    runs as one tape (:func:`~metriconn.forms.prefetch`), so the
-    derivatives of ``S`` that the transformed connection and the residual
-    share are computed once.  The stages then check their roots in their
-    own order: a guard, a domain error or a verdict comes where it came
-    with one tape per stage.  The flat, inconclusive and eigenvalue-failure
-    verdicts return before that tape.
+    the metric and its compatibility residual, the coefficients of ``P``,
+    the norms of ``dU`` and ``d theta`` and ``tr theta``) runs as one tape
+    (:func:`~metriconn.forms.prefetch`), so the derivatives of ``U`` that
+    ``P`` and the residual share are computed once.  The stages then
+    check their roots in their own order: a guard, a domain error or a
+    verdict comes where it came with one tape per stage.  The flat,
+    curvature-zero and eigenvalue-failure verdicts return before that
+    tape.
     """
     with root_cache():
         return _decide(theta, chart, tolerances, basepoint)
@@ -450,83 +477,60 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
 
     # with volume form dx^dy the curvature coefficient U is the matrix of
     # the curvature's own dx^dy coefficients, sampled above
-    ok, trace, det, _ = _imaginary_eigenvalues(*u, tolerances)
-    min_det = float(np.min(det))
-    max_tr = float(np.max(np.abs(trace)))
+    ok, trace, det, u_scale = _imaginary_eigenvalues(*u, tolerances)
+    u_fields = dict(min_det_u=float(np.min(det)), max_abs_trace_u=float(np.max(np.abs(trace))),
+                    tolerances=tol_echo)
     if not ok.all():
         return MetrizabilityReport(
             verdict=Verdict.NOT_METRIC_EIGEN,
             chart=chart,
             witness=chart.first_point(~ok),
-            min_det_u=min_det,
-            max_abs_trace_u=max_tr,
-            curvature_zero_fraction=0.0,
-            tolerances=tol_echo,
+            **u_fields,
         )
 
-    s = _symmetrizer(tuple(tuple(f.r for f in row) for row in omega.entries))
-    a = _sqrt_form(s)
-    det_a = _det2(a)
-    theta_prime = _gauge_transformed(theta, a, det_a)
-
-    # In the transformed frame a metric connection is skew up to a multiple
-    # of the identity: rescaling a frame by a scalar field adds d(log scale)
-    # times the identity to its connection matrix, and the determinant-one
-    # normalization of the symmetrizer fixes that scalar arbitrarily.  The
-    # decidable conditions are therefore an antisymmetric off-diagonal pair
-    # and equal diagonal entries; the leftover identity component is the
-    # closed trace form, whose potential rescales the metric below.
-    off_diag = theta_prime.entries[0][1] + theta_prime.entries[1][0]
-    diag_diff = theta_prime.entries[0][0] - theta_prime.entries[1][1]
-    condition_exprs = [off_diag.p, off_diag.q, diag_diff.p, diag_diff.q]
-    prime_exprs = [e for row in theta_prime.entries for f in row for e in (f.p, f.q)]
+    a, b, c, det_u = _traceless_parts(tuple(tuple(f.r for f in row) for row in omega.entries))
+    s = _symmetrizer(a, b, c, det_u)
     metric = recover_metric(s)
-    tr_theta = trace_connection(theta)
     residual = compatibility_residual(theta, metric)
-    # every root the stages below ask for, as one tape: the transformed
-    # connection and the residual share the derivatives of S.  Each stage
-    # still checks its own roots, in the order below.
-    prefetch([s, det_a, condition_exprs, prime_exprs, tr_theta, metric.entries, residual],
-             chart)
+    g0 = MetricField.symmetric(c, -a, -b)
+    tr_theta = trace_connection(theta)
+    parallel = _parallel_residual(theta, g0, det_u, tr_theta)
+    # the Euclidean norms of dU (of its traceless part) and d theta, squared
+    du2 = sum((e.diff(v) ** 2 for e in (a, b, c) for v in ("x", "y")), Const(0.0))
+    dtheta2 = sum((e ** 2 for row in theta.entries for f in row
+                   for e in (f.p.diff("y"), f.q.diff("x"))), Const(0.0))
+    # one tape for every root below; each stage still checks its own roots
+    prefetch([s, parallel, du2, dtheta2, tr_theta, metric.entries, residual], chart)
     _check_spd_det_one(s, chart)
-    _check_nonsingular(det_a, chart)
-    arrays = evaluate_grid_many(condition_exprs + prime_exprs, chart)
-    condition_arrays = arrays[:len(condition_exprs)]
-    prime_sup = max(float(np.max(np.abs(arr))) for arr in arrays[len(condition_exprs):])
-    skew_tol = tolerances.skew * (1.0 + prime_sup)
-    tol_echo["skew"] = skew_tol
-    residual_peak = np.maximum.reduce([np.abs(arr) for arr in condition_arrays])
-    max_skew = float(np.max(residual_peak))
-    if max_skew > skew_tol:
+    theta_abs = _peak([e for row in theta.entries for f in row for e in (f.p, f.q)], chart)
+    du, dtheta = np.sqrt(evaluate_grid_many([du2, dtheta2], chart))
+    # P is of degree 2 in U and of degree 1 in (dU, theta U)
+    scale = np.maximum(u_scale * u_scale * (u_scale * theta_abs + du), np.finfo(float).tiny)
+    measured = _peak(parallel, chart) / scale
+    floor = _ROUNDING * np.finfo(float).eps * (dtheta + theta_abs * theta_abs) / u_scale
+    tol_echo["parallel"] = tolerances.skew
+    max_parallel = float(np.max(measured))
+    failing = measured > tolerances.skew
+    if failing.any():
+        uncertified = floor >= tolerances.skew
+        witnessed = failing & ~uncertified
         return MetrizabilityReport(
-            verdict=Verdict.NOT_METRIC_SKEW,
+            verdict=Verdict.NOT_METRIC_SKEW if witnessed.any() else Verdict.INCONCLUSIVE,
             chart=chart,
-            witness=chart.first_point(residual_peak > skew_tol),
-            max_skew_residual=max_skew,
-            min_det_u=min_det,
-            max_abs_trace_u=max_tr,
-            curvature_zero_fraction=0.0,
-            tolerances=tol_echo,
+            witness=chart.first_point(witnessed) if witnessed.any() else None,
+            max_parallel_residual=max_parallel,
+            **u_fields,
+            notes=MetrizabilityReport.notes + (() if witnessed.any() else (
+                f"{failing.sum()} of {failing.size} samples fail the parallel test, all "
+                f"of them among the {uncertified.sum()} samples whose rounding floor "
+                "reaches the tolerance",)),
         )
 
-    trace_sup = sup_norm(tr_theta, chart)
-    conformal = trace_sup > 1e-10 * (1.0 + theta_sup)
     notes = MetrizabilityReport.notes
-    conformal_log = None
-    conformal_defects = None
-    if conformal:
-        # the parallel metric is exp(L) * metric with dL = tr(theta); the
-        # residual below certifies exactly that rescaled metric, since
-        # d(e^L M) - theta^T e^L M - e^L M theta = e^L (dM + tr(theta) M
-        # - theta^T M - M theta) and e^L > 0
-        residual = tuple(
-            tuple(
-                residual[i][j] + OneForm(tr_theta.p * metric.entries[i][j],
-                                         tr_theta.q * metric.entries[i][j])
-                for j in range(2)
-            )
-            for i in range(2)
-        )
+    conformal_log = conformal_defects = None
+    if sup_norm(tr_theta, chart) > 1e-10 * (1.0 + theta_sup):
+        # the parallel metric is exp(L) * metric with dL = tr(theta)
+        residual = _trace_shifted(residual, tr_theta, metric)
         conformal_log = potential_on_grid(tr_theta, chart, basepoint)
         conformal_defects = generator_loop_integrals(tr_theta, chart)
         notes = notes + (
@@ -546,17 +550,13 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
         metric=metric,
         conformal_log=conformal_log,
         conformal_defects=conformal_defects,
-        max_skew_residual=max_skew,
-        min_det_u=min_det,
-        max_abs_trace_u=max_tr,
-        curvature_zero_fraction=0.0,
+        max_parallel_residual=max_parallel,
         compat_residual=compat,
-        tolerances=tol_echo,
+        **u_fields,
         notes=notes,
     )
     if compat > compat_tol:
-        # defensive: a skew-passing connection whose recovered metric fails
-        # the independent residual check is reported, never asserted metric
+        # defensive: a recovered metric failing this check is never asserted
         report = replace(report, verdict=Verdict.INCONCLUSIVE,
                          notes=report.notes + ("recovered metric failed the "
                                                "compatibility residual check",))

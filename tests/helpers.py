@@ -87,10 +87,11 @@ def random_gauge(rng, chart: Chart) -> FrameChange:
     return FrameChange(entries, chart)
 
 
-def scrambled_instance(rng, chart: Chart):
+def scrambled_instance(rng, chart: Chart, min_curvature_ratio=3e-4):
     """A gauge-scramble of a random skew connection: returns
-    (skew original, gauge, scrambled connection)."""
-    theta0 = random_skew_connection(rng, chart)
+    (skew original, gauge, scrambled connection).  The curvature floor is
+    that of :func:`random_skew_connection`; 0 draws without one."""
+    theta0 = random_skew_connection(rng, chart, min_curvature_ratio)
     frame = random_gauge(rng, chart)
     return theta0, frame, gauge_transform(theta0, frame)
 

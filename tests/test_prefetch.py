@@ -330,4 +330,4 @@ def test_skewfail_keeps_its_witness():
     report = check_metrizability(spec.connection)
     assert report.verdict is Verdict.NOT_METRIC_SKEW
     assert report.witness == (-0.8859375, 0.04908738521234052)
-    assert report.max_skew_residual == 5.648681776395684
+    assert report.max_parallel_residual == 0.8121276003639322
