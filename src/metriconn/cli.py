@@ -131,8 +131,6 @@ def _verdict_fields(report: MetrizabilityReport):
         yield "diagnostics.max_abs_trace_u", report.max_abs_trace_u
     if report.max_parallel_residual is not None:
         yield "diagnostics.max_parallel_residual", report.max_parallel_residual
-    if report.compat_residual is not None:
-        yield "diagnostics.compat_residual", report.compat_residual
     if report.frame_residual is not None:
         yield "diagnostics.frame_residual", report.frame_residual
     if report.loop_defect is not None:

@@ -49,7 +49,7 @@ class Tolerances:
     eigen_trace: float = 1e-8   # scaled pointwise by max|U|
     eigen_det: float = 1e-10    # scaled pointwise by max|U|^2
     skew: float = 1e-8          # bounds |P| / scale at each sample (parallel test)
-    compat: float = 1e-8        # scaled by metric/connection magnitudes
+    compat: float = 1e-8        # euler/compare; scaled by metric/connection magnitudes
 
     def scaled(self, factor: float) -> "Tolerances":
         f = float(factor)

@@ -16,8 +16,16 @@ vanishes in its dx and dy parts, with ``d phi = tr(theta) - 1/2 d log det U``
 tested sample by sample against its scale; a sample where the rounding of
 ``U`` could reach the tolerance is uncertified, and never a witness.  A
 positive verdict comes with the adjugate of the det-1 solution ``S`` of
-``U S + S U^T = 0``, rescaled by the potential of the trace form, and
-independently validated against the compatibility residual.
+``U S + S U^T = 0``, rescaled by the potential of the trace form.  That
+adjugate is ``g = -sgn(b) G0 / sqrt(det U)``, so its trace-shifted
+compatibility residual is exactly
+
+    dg - theta^T g - g theta + tr(theta) g = -sgn(b) P / det U^(3/2)
+
+and the test of ``P`` is the proof that the reported metric is parallel;
+nothing re-checks it.  It is positive definite wherever the eigenvalue
+test holds: its (1,1) entry is ``-b c / (|b| sqrt(det U))`` with
+``-b c > a^2``, and its determinant is ``det S = 1``.
 
 All pointwise verdicts are certified on grid samples only; the grid and
 every tolerance used are recorded in the report.
@@ -26,7 +34,7 @@ every tolerance used are recorded in the report.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +63,6 @@ from .connection import (
     _vanishing,
     compatibility_residual,
     curvature,
-    residual_sup,
     trace_connection,
 )
 
@@ -158,7 +165,6 @@ class MetrizabilityReport:
     min_det_u: float | None = None
     max_abs_trace_u: float | None = None
     curvature_zero_fraction: float = 0.0
-    compat_residual: float | None = None
     frame_residual: float | None = None
     loop_defect: float | None = None
     tolerances: dict = field(default_factory=dict)
@@ -295,7 +301,12 @@ def spd_sqrt(s, chart: Chart):
     Raises :class:`NotSPD` if ``S`` is not SPD with unit determinant on the
     grid.
     """
-    _check_spd_det_one(s, chart)
+    bad, det = _not_spd(s, chart)
+    if bad.any():
+        raise NotSPD(chart.first_point(bad), "non-positive leading minor")
+    off = np.abs(det - 1.0) > 1e-8 * (1.0 + np.abs(det))
+    if off.any():
+        raise NotSPD(chart.first_point(off), f"det - 1 = {det[off][0] - 1.0:.2g}")
     s11, s12, s21, s22 = s[0][0], s[0][1], s[1][0], s[1][1]
     denom = expr_sqrt(s11 + s22 + Const(2.0))
     q11 = (s11 + Const(1.0)) / denom
@@ -305,38 +316,23 @@ def spd_sqrt(s, chart: Chart):
     return ((q11, q12), (q21, q22))
 
 
-def _check_spd_det_one(s, chart: Chart) -> None:
-    """The guard of :func:`spd_sqrt`."""
-    bad, det = _not_spd(s, chart)
-    if bad.any():
-        raise NotSPD(chart.first_point(bad), "non-positive leading minor")
-    off = np.abs(det - 1.0) > 1e-8 * (1.0 + np.abs(det))
-    if off.any():
-        raise NotSPD(chart.first_point(off), f"det = {det[off][0]:.6g} != 1")
-
-
 def recover_metric(s) -> MetricField:
     """Metric making the transformed frame orthonormal, expressed in the
     original frame: the adjugate of the det-1 symmetrizer."""
     return MetricField.symmetric(s[1][1], -s[0][1], s[0][0])
 
 
-def _trace_shifted(residual, tr_theta: OneForm, g: MetricField):
-    """``residual + tr(theta) g`` for the compatibility residual of ``g``:
-    the residual of ``exp(L) g`` over ``exp(L) > 0``, where ``dL = tr(theta)``."""
-    return tuple(tuple(residual[i][j] + tr_theta.scaled(g.entries[i][j]) for j in range(2))
-                 for i in range(2))
-
-
 def _parallel_residual(theta: ConnectionMatrix, g0: MetricField, det_u, tr_theta: OneForm):
     """The dx and dy coefficients of the entries (1,1), (1,2) and (2,2) of
     ``P = det U (R + tr(theta) G0) - 1/2 d(det U) G0``, with ``R`` the
-    compatibility residual of ``G0``."""
-    shifted = _trace_shifted(compatibility_residual(theta, g0), tr_theta, g0)
+    compatibility residual of ``G0``; ``R + tr(theta) G0`` is the residual
+    of ``exp(L) G0`` over ``exp(L) > 0``, where ``dL = tr(theta)``."""
+    residual = compatibility_residual(theta, g0)
     half_ddet = d0(det_u).scaled(Const(0.5))
     out = []
     for i, j in ((0, 0), (0, 1), (1, 1)):
-        entry = shifted[i][j].scaled(det_u) - half_ddet.scaled(g0.entries[i][j])
+        shifted = residual[i][j] + tr_theta.scaled(g0.entries[i][j])
+        entry = shifted.scaled(det_u) - half_ddet.scaled(g0.entries[i][j])
         out += [entry.p, entry.q]
     return out
 
@@ -405,8 +401,7 @@ def check_metrizability(theta: ConnectionMatrix, chart: Chart | None = None, *,
     ``NotMetricEigen`` / ``NotMetricSkew`` (with a witness point), or
     ``Inconclusive``: the sampled curvature-zero set is a proper nonempty
     subset of the grid, where the pointwise construction does not apply;
-    or every sample that fails the parallel test is uncertified; or the
-    recovered metric fails its compatibility check.
+    or every sample that fails the parallel test is uncertified.
     A basepoint outside the chart is a ValueError, whatever the verdict.
 
     One root cache (:func:`~metriconn.forms.root_cache`) is open for the
@@ -414,13 +409,12 @@ def check_metrizability(theta: ConnectionMatrix, chart: Chart | None = None, *,
     expressions the stages before it evaluated as finished leaves.  The
     cache finds them by the value numbers the nodes got when they were
     built, so an expression a stage builds again is found too.  Once
-    the eigenvalue test passes, every root the later stages ask for (``S``,
-    the metric and its compatibility residual, the coefficients of ``P``,
-    the norms of ``dU`` and ``d theta`` and ``tr theta``) runs as one tape
-    (:func:`~metriconn.forms.prefetch`), so the derivatives of ``U`` that
-    ``P`` and the residual share are computed once.  The stages then
-    check their roots in their own order: a guard, a domain error or a
-    verdict comes where it came with one tape per stage.  The flat,
+    the eigenvalue test passes, every root the later stages ask for (the
+    coefficients of ``P``, the norms of ``dU`` and ``d theta`` and
+    ``tr theta``) runs as one tape (:func:`~metriconn.forms.prefetch`), so
+    the derivatives of ``U`` that ``P`` and the norms share are computed
+    once.  The stages then check their roots in their own order: a domain
+    error or a verdict comes where it came with one tape per stage.  The flat,
     curvature-zero and eigenvalue-failure verdicts return before that
     tape.
     """
@@ -445,7 +439,6 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
         "eigen_trace": tolerances.eigen_trace,
         "eigen_det": tolerances.eigen_det,
         "skew_base": tolerances.skew,
-        "compat_base": tolerances.compat,
     }
 
     zero_mask = peak <= flat_tol
@@ -489,9 +482,6 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
         )
 
     a, b, c, det_u = _traceless_parts(tuple(tuple(f.r for f in row) for row in omega.entries))
-    s = _symmetrizer(a, b, c, det_u)
-    metric = recover_metric(s)
-    residual = compatibility_residual(theta, metric)
     g0 = MetricField.symmetric(c, -a, -b)
     tr_theta = trace_connection(theta)
     parallel = _parallel_residual(theta, g0, det_u, tr_theta)
@@ -500,8 +490,7 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
     dtheta2 = sum((e ** 2 for row in theta.entries for f in row
                    for e in (f.p.diff("y"), f.q.diff("x"))), Const(0.0))
     # one tape for every root below; each stage still checks its own roots
-    prefetch([s, parallel, du2, dtheta2, tr_theta, metric.entries, residual], chart)
-    _check_spd_det_one(s, chart)
+    prefetch([parallel, du2, dtheta2, tr_theta], chart)
     theta_abs = _peak([e for row in theta.entries for f in row for e in (f.p, f.q)], chart)
     du, dtheta = np.sqrt(evaluate_grid_many([du2, dtheta2], chart))
     # P is of degree 2 in U and of degree 1 in (dU, theta U)
@@ -530,7 +519,6 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
     conformal_log = conformal_defects = None
     if sup_norm(tr_theta, chart) > 1e-10 * (1.0 + theta_sup):
         # the parallel metric is exp(L) * metric with dL = tr(theta)
-        residual = _trace_shifted(residual, tr_theta, metric)
         conformal_log = potential_on_grid(tr_theta, chart, basepoint)
         conformal_defects = generator_loop_integrals(tr_theta, chart)
         notes = notes + (
@@ -540,24 +528,13 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
             notes = notes + (
                 "nonzero conformal loop defect: the metric does not close up "
                 "around a periodic generator",)
-    compat = residual_sup(residual, chart)
-    metric_sup = sup_norm(metric.entries, chart)
-    compat_tol = tolerances.compat * (1.0 + metric_sup) * (1.0 + theta_sup)
-    tol_echo["compat"] = compat_tol
-    report = MetrizabilityReport(
+    return MetrizabilityReport(
         verdict=Verdict.METRIC,
         chart=chart,
-        metric=metric,
+        metric=recover_metric(_symmetrizer(a, b, c, det_u)),
         conformal_log=conformal_log,
         conformal_defects=conformal_defects,
         max_parallel_residual=max_parallel,
-        compat_residual=compat,
         **u_fields,
         notes=notes,
     )
-    if compat > compat_tol:
-        # defensive: a recovered metric failing this check is never asserted
-        report = replace(report, verdict=Verdict.INCONCLUSIVE,
-                         notes=report.notes + ("recovered metric failed the "
-                                               "compatibility residual check",))
-    return report

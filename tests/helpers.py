@@ -14,7 +14,10 @@ from metriconn.expr import (
     _add, _call, _div, _mul, _neg, _pow, _sub,
 )
 from metriconn.forms import Chart, OneForm, evaluate_grid_many, grid_derivative
-from metriconn.connection import ConnectionMatrix, FrameChange, curvature, gauge_transform
+from metriconn.connection import (
+    ConnectionMatrix, FrameChange, compatibility_residual, curvature, gauge_transform,
+    residual_sup, trace_connection,
+)
 
 TAU = 2.0 * np.pi
 
@@ -191,6 +194,20 @@ def symmetric_part_sup(theta: ConnectionMatrix) -> float:
         for j in range(i, theta.m):
             forms.append(theta.entries[i][j] + theta.entries[j][i])
     return sup_norm(forms, theta.chart)
+
+
+def parallel_metric_residual(theta: ConnectionMatrix, report) -> float:
+    """The largest compatibility residual on the grid of the parallel metric
+    a ``Metric`` report gives.  With a conformal factor that metric is
+    ``exp(L) g`` with ``dL = tr(theta)``, whose residual over ``exp(L)`` is
+    the residual of ``g`` plus ``tr(theta) g``; without one it is ``g``."""
+    g = report.metric
+    residual = compatibility_residual(theta, g)
+    if report.conformal_log is not None:
+        tr = trace_connection(theta)
+        residual = tuple(tuple(residual[i][j] + tr.scaled(g.entries[i][j]) for j in range(2))
+                         for i in range(2))
+    return residual_sup(residual, report.chart)
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,34 @@
 """Verdicts that must not depend on the grid.
 
 A gauge scramble of a skew connection is metric by construction, on every
-grid; the same scramble with a small non-metric term is not, on any grid.
+grid, and must be reported ``Metric``; the same scramble with a small
+non-metric term is not, on any grid.
 The cases: the first 20 seed-2024 scrambles of the acceptance gate, whose
 curvature floor holds on the 64^2 torus, rebound to finer grids; 40 seed-11
 scrambles drawn with no curvature floor; and the first 8 seed-2024
 scrambles with ``eps sin(y) dx`` added to ``theta_12`` and ``theta_21``.
 Where mpmath is installed, a 40-digit oracle (``tests/oracle.py``) labels
 the cases at seeded grid samples, at seeded points off the grid and at the
-witness of every negative verdict.
+witness of every negative verdict, and checks on the rebinds that the
+reported metric is parallel by the identity behind the test of ``P``.
+A connection with a nearly nilpotent curvature coefficient (``det U``
+near its floor) is metric too.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 
 import numpy as np
 import pytest
 
+from metriconn.cli import run
 from metriconn.connection import ConnectionMatrix, Tolerances
 from metriconn.expr import Const, Y, sin
 from metriconn.forms import OneForm
 from metriconn.metrizability import Verdict, check_metrizability
+from metriconn.specfile import load_spec
 
 from helpers import TAU, random_safe_expr, scrambled_instance, torus_chart
 
@@ -67,18 +74,17 @@ def perturbed_report(k: int, eps: float, n: int):
 
 @pytest.mark.parametrize("n", REBIND_GRIDS)
 def test_seed_2024_rebinds_are_never_negative(n):
+    # never negative, and never inconclusive either: P passes at every sample
     reports = [rebind_report(k, n) for k in range(20)]
     verdicts = [r.verdict for r in reports]
-    assert not [v for v in verdicts if v in NEGATIVE], verdicts
-    assert set(verdicts) <= {Verdict.METRIC, Verdict.INCONCLUSIVE}
-    # P passes at every sample; an inconclusive verdict comes from the
-    # compatibility check of the recovered metric
+    assert set(verdicts) == {Verdict.METRIC}, verdicts
     assert max(r.max_parallel_residual for r in reports) <= 1e-8
 
 
 def test_scrambles_without_a_curvature_floor_are_never_negative():
+    # nor inconclusive
     verdicts = [check_metrizability(theta).verdict for theta in unfiltered()]
-    assert not [v for v in verdicts if v in NEGATIVE], verdicts
+    assert set(verdicts) == {Verdict.METRIC}, verdicts
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -109,6 +115,36 @@ def test_a_defect_above_the_rounding_floor_is_a_witness():
 
 
 # ---------------------------------------------------------------------------
+# a nearly nilpotent curvature coefficient
+
+def nearly_nilpotent_spec(path, delta: float):
+    """``theta = 0.37 x^2 M dy`` on ``[0.5, 1] x [0, 1]`` at 32^2, with
+    ``M = [[0.7, 1.3], [-(0.49 + delta) / 1.3, -0.7]]`` and ``det M = delta``.
+    Then ``U = 0.74 x M``, and the constant ``G0`` of ``M`` (negated, so
+    that it is positive definite) is parallel: metric by construction."""
+    m = ((0.7, 1.3), (-(0.49 + delta) / 1.3, -0.7))
+    lines = ["[chart]", "x = 0.5 .. 1", "y = 0 .. 1", "grid = 32 32", "", "[connection]"]
+    lines += [f"theta.{i + 1}.{j + 1}.dy = 0.37*{m[i][j]!r}*x^2"
+              for i in range(2) for j in range(2)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-9])
+def test_a_nearly_nilpotent_curvature_is_metric(tmp_path, delta):
+    spec = nearly_nilpotent_spec(tmp_path / "nilpotent.conn", delta)
+    theta = load_spec(spec).require_connection()
+    report = check_metrizability(theta)
+    assert report.verdict is Verdict.METRIC, report.notes
+    g = report.metric_grid()
+    assert np.all(g[..., 0, 0] > 0.0)
+    assert np.all(g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0] > 0.0)
+    assert run(["check", str(spec), "--json"], out=io.StringIO(), err=io.StringIO()) == 0
+    oracle = pytest.importorskip("oracle")
+    assert oracle.label(theta, _points(np.random.default_rng(23), theta.chart, 3)).metric()
+
+
+# ---------------------------------------------------------------------------
 # the 40-digit oracle
 
 def _points(rng, chart, count):
@@ -117,7 +153,8 @@ def _points(rng, chart, count):
     xs, ys = chart.xs(), chart.ys()
     on = [(float(xs[i]), float(ys[j]))
           for i, j in zip(rng.integers(chart.nx, size=count), rng.integers(chart.ny, size=count))]
-    return on + [tuple(map(float, p)) for p in rng.uniform(0.0, TAU, size=(count, 2))]
+    (x0, x1), (y0, y1) = chart.x_range, chart.y_range
+    return on + [tuple(map(float, p)) for p in rng.uniform((x0, y0), (x1, y1), size=(count, 2))]
 
 
 def test_oracle_agrees_with_float_evaluation():
@@ -139,7 +176,11 @@ def test_oracle_labels_the_rebinds_metric():
         label = oracle.label(theta, points)
         assert label.metric(), (k, label)
         for n in REBIND_GRIDS:
-            assert rebind_report(k, n).verdict not in NEGATIVE
+            assert rebind_report(k, n).verdict is Verdict.METRIC
+        # the trace-shifted residual of the reported g = adj S equals
+        # -sgn(b) P / det U^(3/2), so the test of P proves g parallel
+        gap, size = oracle.parallel_identity_gap(theta, rebind_report(k, 256).metric, points)
+        assert gap <= 1e-30 and size <= 1e-30, (k, gap, size)
 
 
 def test_oracle_labels_the_scrambles_without_a_curvature_floor_metric():

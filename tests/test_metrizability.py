@@ -30,6 +30,7 @@ from metriconn.metrizability import (
 
 from helpers import (
     TAU,
+    parallel_metric_residual,
     random_det_one_matrix,
     random_spd_det_one,
     random_traceless_positive,
@@ -180,12 +181,12 @@ def test_spd_sqrt_rejects_indefinite(chart):
 
 def test_spd_sqrt_guard_is_not_a_recheck(chart):
     # U = [[a, b], [c, -a]] passes the eigenvalue test with det U close to
-    # its tolerance; the closed-form S then misses det S = 1, and only
-    # spd_sqrt's own check catches it
+    # its tolerance; the closed-form S then misses det S = 1 by 4.5e-8, and
+    # spd_sqrt's own guard, which allows 1e-8, reports the miss
     a, b, c = -79.98416009221647, -45.81835584694699, 139.62670239919484
     u = [[a, b], [c, -a]]
     assert imaginary_eigenvalue_test(u)
-    with pytest.raises(NotSPD, match="det = 1 != 1"):
+    with pytest.raises(NotSPD, match=r"\(det - 1 = 4\.5e-08\)"):
         spd_sqrt(skew_symmetrizer(_const_matrix(u), chart), chart)
 
 
@@ -267,7 +268,7 @@ def test_check_skew_connection_is_metric(chart):
     report = check_metrizability(theta)
     assert report.verdict is Verdict.METRIC
     assert np.allclose(_eval_matrix(report.metric.entries, 1.0, 2.0), np.eye(2))
-    assert report.compat_residual <= 1e-8
+    assert parallel_metric_residual(theta, report) <= 1e-8
 
 
 def test_check_real_eigenvalues_rejected(chart):
@@ -461,7 +462,7 @@ def test_check_conformal_metric_branch():
     report = check_metrizability(theta)
     assert report.verdict is Verdict.METRIC
     assert report.conformal_log is not None
-    assert report.compat_residual <= 1e-10
+    assert parallel_metric_residual(theta, report) <= 1e-10
     samples = report.metric_grid()
     chart = theta.chart
     xs = chart.xs("node")
