@@ -49,7 +49,6 @@ from .metrizability import (
     Verdict,
     check_metrizability,
     factor_curvature,
-    imaginary_eigenvalue_test,
     recover_metric,
     skew_symmetrizer,
     spd_sqrt,

@@ -6,7 +6,9 @@ defect, 3 = input error: a malformed spec or option, a basepoint outside
 the chart, or a spec that cannot be evaluated (a division by zero,
 coefficients that are not finite on a sweep path, a parallel frame that
 overflows).  Reports go to the output stream; diagnostics, usage errors
-included, to the error stream.
+included, to the error stream.  The report is written only after every
+value in it is computed, so a run that exits 3 writes no report, and the
+exit code does not depend on ``--json``.
 With ``--json`` the report is a single flat JSON object
 with dotted keys and no timestamps, so identical inputs produce
 byte-identical output.
@@ -207,15 +209,14 @@ def _check(spec: SpecFile, args, report: _Report) -> int:
 def _metric(spec: SpecFile, args, report: _Report) -> int:
     result = _put_verdict(spec.require_connection(), args, report)
     if result.metric_samples is not None or result.conformal_log is not None:
-        report.appendix = _metric_table(result)
+        # sampled in both modes: a node where the metric cannot be
+        # evaluated is an input error whether or not the table is written
+        report.appendix = _metric_table(result.chart, result.metric_grid())
     return _check_exit_code(result)
 
 
-def _metric_table(result: MetrizabilityReport):
-    """The sampled metric at every node, as text lines; a generator, so the
-    metric is sampled only when the lines are written."""
-    samples = result.metric_grid()
-    chart = result.chart
+def _metric_table(chart: Chart, samples: np.ndarray):
+    """The sampled metric at every node, as text lines."""
     xs, ys = chart.xs("node"), chart.ys("node")
     yield "# sampled metric: x y g11 g12 g22\n"
     for i in range(chart.nx):

@@ -2,13 +2,13 @@
 metric-compatibility residual, interpolation, and parallel frames for flat
 connections.
 
-A connection matrix is an ``m x m`` matrix of 1-forms over a chart.  Frame
-changes come in two flavours: symbolic (:class:`FrameChange`, expression
-entries) and sampled (:class:`ParallelFrame`, produced by ODE integration
+A connection matrix is an ``m x m`` matrix of 1-forms over a chart.  A
+frame change (:class:`FrameChange`) has expression entries, and
+:func:`gauge_transform` applies it symbolically.  A parallel frame of a flat
+connection (:class:`ParallelFrame`) is sampled instead, by ODE integration
 along gridlines, since path-ordered integrals have no closed form in the
-expression grammar).  :func:`gauge_transform` accepts both; the sampled
-variant differentiates the frame with sixth-order finite differences and
-returns a sampled connection.
+expression grammar; its node residual ``dB + theta B`` is measured by
+sixth-order finite differences.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .forms import (
 
 __all__ = [
     "ConnectionMatrix", "CurvatureMatrix", "FrameChange", "MetricField",
-    "ParallelFrame", "GridConnection",
+    "ParallelFrame",
     "ChartMismatch", "SingularFrame", "NotFlat",
     "curvature", "gauge_transform", "compatibility_residual",
     "parallel_frame_flat", "interpolate",
@@ -247,17 +247,16 @@ def _check_nonsingular(det: Expr, chart: Chart) -> None:
         raise SingularFrame(chart.first_point(bad), float(det[bad][0]))
 
 
-def gauge_transform(theta: ConnectionMatrix, frame) -> "ConnectionMatrix | GridConnection":
-    """Transform the connection matrix under a change of frame.
+def gauge_transform(theta: ConnectionMatrix, frame: FrameChange) -> ConnectionMatrix:
+    """Transform the connection matrix under a symbolic change of frame
+    ``B``: the result is the exact symbolic ``B^-1 dB + B^-1 theta B``.
 
-    For a symbolic :class:`FrameChange` ``B`` the result is the exact
-    symbolic ``B^-1 dB + B^-1 theta B``.  For a sampled
-    :class:`ParallelFrame` the derivative of the frame is taken by
-    sixth-order finite differences and a :class:`GridConnection` is
-    returned.
+    Only a :class:`FrameChange` is accepted; any other frame, a sampled
+    :class:`ParallelFrame` included, is a TypeError.  Raises
+    :class:`SingularFrame` if ``det B`` vanishes at a grid sample.
     """
-    if isinstance(frame, ParallelFrame):
-        return _gauge_transform_sampled(theta, frame)
+    if not isinstance(frame, FrameChange):
+        raise TypeError(f"gauge_transform takes a FrameChange, not {type(frame).__name__}")
     if theta.chart != frame.chart:
         raise ChartMismatch("connection and frame live on different charts")
     if frame.m != 2:
@@ -385,19 +384,6 @@ class ParallelFrame:
         out[0, 1] = out[1, 0] = -(a * c + b * d) / det2
         out[1, 1] = (a * a + b * b) / det2
         return np.moveaxis(out, (0, 1), (2, 3))
-
-
-@dataclass(frozen=True)
-class GridConnection:
-    """Connection coefficients sampled on the node lattice: ``p``/``q`` hold
-    the dx/dy coefficient matrices, shape ``(nx, ny, m, m)``."""
-
-    p: np.ndarray
-    q: np.ndarray
-    chart: Chart
-
-    def max_abs(self) -> float:
-        return float(max(np.max(np.abs(self.p)), np.max(np.abs(self.q))))
 
 
 # RK4 substeps per node interval.  A single step per interval leaves the
@@ -606,16 +592,6 @@ def _frame_residuals(theta: ConnectionMatrix, planes: np.ndarray) -> list:
         res += _mul(_coefficient_samples(coeffs, xs, ys), planes)
         out.append(res)
     return out
-
-
-def _gauge_transform_sampled(theta: ConnectionMatrix, frame: ParallelFrame) -> GridConnection:
-    if theta.chart != frame.chart:
-        raise ChartMismatch("connection and frame live on different charts")
-    binv = np.linalg.inv(frame.values)
-    planes = np.moveaxis(frame.values, (2, 3), (0, 1))
-    new_p, new_q = (binv @ np.ascontiguousarray(np.moveaxis(res, (0, 1), (2, 3)))
-                    for res in _frame_residuals(theta, planes))
-    return GridConnection(new_p, new_q, theta.chart)
 
 
 def transport_metric_x(theta: ConnectionMatrix, g0: np.ndarray, y: float | None = None,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Const, DomainError, Expr, eval_grid_many
+from .expr import DomainError, Expr, eval_grid_many
 
 __all__ = [
     "Chart", "OneForm", "TwoForm",
@@ -47,7 +47,6 @@ __all__ = [
     "evaluate_grid", "evaluate_grid_many", "root_cache", "prefetch", "sup_norm",
     "grid_derivative",
     "potential_on_grid", "generator_loop_integrals",
-    "ZERO_ONE_FORM", "ZERO_TWO_FORM",
 ]
 
 
@@ -188,10 +187,6 @@ class TwoForm:
 
     def scaled(self, factor) -> "TwoForm":
         return TwoForm(self.r * factor)
-
-
-ZERO_ONE_FORM = OneForm(Const(0.0), Const(0.0))
-ZERO_TWO_FORM = TwoForm(Const(0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,10 @@ from .connection import (
 )
 
 __all__ = [
-    "Verdict", "Tolerances", "CurvatureCoefficient", "EigenTest",
-    "MetrizabilityReport",
+    "Verdict", "Tolerances", "CurvatureCoefficient", "MetrizabilityReport",
     "DegenerateVolume", "EigenPreconditionFailed", "NotSPD",
-    "factor_curvature", "imaginary_eigenvalue_test", "skew_symmetrizer",
+    "factor_curvature", "skew_symmetrizer",
     "spd_sqrt", "recover_metric", "check_metrizability",
-    "symplectic_identity_residual", "transition_orthogonality",
     "DEFAULT_TOLERANCES",
 ]
 
@@ -116,29 +114,6 @@ class CurvatureCoefficient:
 
     matrix: tuple
     volume: TwoForm
-
-
-class EigenTest:
-    """Outcome of the purely-imaginary-eigenvalue test at one point.
-
-    For a real 2x2 matrix, both eigenvalues are purely imaginary and nonzero
-    exactly when the trace vanishes and the determinant is positive; the
-    raw margins are kept for diagnostics.
-    """
-
-    __slots__ = ("ok", "trace", "det", "scale")
-
-    def __init__(self, ok: bool, trace: float, det: float, scale: float):
-        self.ok = bool(ok)
-        self.trace = float(trace)
-        self.det = float(det)
-        self.scale = float(scale)
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return f"EigenTest(ok={self.ok}, trace={self.trace:.3g}, det={self.det:.3g})"
 
 
 @dataclass(frozen=True)
@@ -242,13 +217,6 @@ def _imaginary_eigenvalues(u11, u12, u21, u22, tolerances: Tolerances):
     return ok, trace, det, scale
 
 
-def imaginary_eigenvalue_test(u, tolerances: Tolerances = DEFAULT_TOLERANCES) -> EigenTest:
-    """Test whether a real 2x2 matrix has purely imaginary nonzero
-    eigenvalues, with scale-relative margins."""
-    m = np.asarray(u, dtype=float)
-    return EigenTest(*_imaginary_eigenvalues(m[0, 0], m[0, 1], m[1, 0], m[1, 1], tolerances))
-
-
 def skew_symmetrizer(matrix, chart: Chart,
                      tolerances: Tolerances = DEFAULT_TOLERANCES):
     """Symmetric positive-definite solution ``S`` of ``U S + S U^T = 0`` with
@@ -340,47 +308,6 @@ def _parallel_residual(theta: ConnectionMatrix, g0: MetricField, det_u, tr_theta
 def _peak(exprs, chart: Chart) -> np.ndarray:
     """The largest absolute value of ``exprs`` at each sample."""
     return np.max(np.abs(evaluate_grid_many(exprs, chart)), axis=0)
-
-
-# ---------------------------------------------------------------------------
-# matrix kernels (pointwise, numeric)
-
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def symplectic_identity_residual(x) -> float:
-    """Residual of the det-1 identity ``X J X^-1 = X X^T J`` in the max norm."""
-    m = np.asarray(x, dtype=float)
-    det = float(np.linalg.det(m))
-    if abs(det - 1.0) > 1e-12:
-        raise ValueError(f"matrix must have determinant 1, got {det!r}")
-    lhs = m @ _J @ np.linalg.inv(m)
-    rhs = m @ m.T @ _J
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def transition_orthogonality(a, b, u) -> float:
-    """Distance of ``A^-1 B`` from the orthogonal group, for two det-1
-    conjugators that both take ``U`` to a skew matrix.
-
-    Raises ``ValueError`` when the preconditions (unit determinants,
-    skewness of both conjugates) do not hold.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    u = np.asarray(u, dtype=float)
-    for name, m in (("A", a), ("B", b)):
-        det = float(np.linalg.det(m))
-        if abs(det - 1.0) > 1e-9:
-            raise ValueError(f"det {name} = {det!r}, expected 1")
-    scale = float(np.max(np.abs(u))) + 1.0
-    for name, m in (("A", a), ("B", b)):
-        conjugate = np.linalg.inv(m) @ u @ m
-        skew = float(np.max(np.abs(conjugate + conjugate.T)))
-        if skew > 1e-10 * scale:
-            raise ValueError(f"{name}^-1 U {name} is not skew (residual {skew:.3g})")
-    s = np.linalg.inv(a) @ b
-    return float(np.max(np.abs(s @ s.T - np.eye(2))))
 
 
 # ---------------------------------------------------------------------------

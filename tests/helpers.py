@@ -186,6 +186,48 @@ def random_spd_det_one(rng) -> np.ndarray:
     return s / np.sqrt(np.linalg.det(s))
 
 
+# ---------------------------------------------------------------------------
+# matrix kernels (pointwise, numeric): independent checks of the closed-form
+# symmetrizer and square root on float matrices
+
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def symplectic_identity_residual(x) -> float:
+    """Residual of the det-1 identity ``X J X^-1 = X X^T J`` in the max norm."""
+    m = np.asarray(x, dtype=float)
+    det = float(np.linalg.det(m))
+    if abs(det - 1.0) > 1e-12:
+        raise ValueError(f"matrix must have determinant 1, got {det!r}")
+    lhs = m @ _J @ np.linalg.inv(m)
+    rhs = m @ m.T @ _J
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def transition_orthogonality(a, b, u) -> float:
+    """Distance of ``A^-1 B`` from the orthogonal group, for two det-1
+    conjugators that both take ``U`` to a skew matrix.
+
+    Raises ``ValueError`` when the preconditions (unit determinants,
+    skewness of both conjugates) do not hold.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    u = np.asarray(u, dtype=float)
+    for name, m in (("A", a), ("B", b)):
+        det = float(np.linalg.det(m))
+        if abs(det - 1.0) > 1e-9:
+            raise ValueError(f"det {name} = {det!r}, expected 1")
+    scale = float(np.max(np.abs(u))) + 1.0
+    for name, m in (("A", a), ("B", b)):
+        conjugate = np.linalg.inv(m) @ u @ m
+        skew = float(np.max(np.abs(conjugate + conjugate.T)))
+        if skew > 1e-10 * scale:
+            raise ValueError(f"{name}^-1 U {name} is not skew (residual {skew:.3g})")
+    s = np.linalg.inv(a) @ b
+    return float(np.max(np.abs(s @ s.T - np.eye(2))))
+
+
 def symmetric_part_sup(theta: ConnectionMatrix) -> float:
     """Max over the grid of the symmetric part of a connection matrix."""
     from metriconn.forms import sup_norm

@@ -36,8 +36,6 @@ from metriconn.metrizability import (
     check_metrizability,
     skew_symmetrizer,
     spd_sqrt,
-    symplectic_identity_residual,
-    transition_orthogonality,
 )
 from metriconn.volume_euler import euler_form, volume_criterion
 from metriconn.gallery import (
@@ -58,7 +56,9 @@ from helpers import (
     random_traceless_positive,
     scrambled_instance,
     skew_connection,
+    symplectic_identity_residual,
     torus_chart,
+    transition_orthogonality,
     trig_poly,
 )
 

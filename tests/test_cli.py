@@ -5,6 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:
+    given = None
+
 from metriconn.cli import run
 from metriconn.expr import parse, to_source
 
@@ -384,6 +389,22 @@ def test_overflowing_parallel_frame_is_input_error(tmp_path, capsys, recwarn):
     assert not recwarn.list
 
 
+def test_metric_gives_one_exit_code_in_both_modes(tmp_path):
+    # the decision samples cell midpoints and never meets x = 0, where the
+    # metric divides by x; the metric table samples the nodes.  Text mode
+    # wrote the whole report and then exited 3, while --json exited 0
+    spec = _spec(tmp_path, "log.conn",
+                 "theta.1.2.dy = ln(x)\ntheta.2.1.dy = 0 - ln(x)\n"
+                 "theta.1.1.dx = 0.5\ntheta.2.2.dx = 0.5",
+                 chart="x = 0 .. 1\ny = 0 .. 1\ngrid = 8 8\n")
+    code, fields, _ = run_json("check", spec)
+    assert (code, fields["verdict"]) == (0, "Metric")
+    for mode in ((), ("--json",)):
+        code, out, err = run_cli("metric", spec, *mode)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: division by zero at (0, 0)")
+
+
 @pytest.mark.parametrize("command", ["check", "volume"])
 def test_basepoint_outside_the_chart_is_input_error(command):
     code, out, err = run_cli(command, str(SPECS / "skew.conn"), "--basepoint", "100", "100")
@@ -428,3 +449,110 @@ def test_deeply_parenthesised_coefficient(tmp_path):
                  chart="x = 0 .. 1\ny = 0 .. 1\ngrid = 16 16\n")
     code, fields, err = run_json("check", spec)
     assert (code, fields["verdict"], err) == (0, "Metric", "")
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on generated spec files
+
+SPEC_COMMANDS = ("check", "metric", "volume", "euler", "torsion", "levi-civita",
+                 "semi-symmetric", "compare")
+
+
+def coefficients(variables="xy"):
+    """Coefficient text from the expression grammar in the given variables.
+    The leaves are the variables, numbers, the named constants, and the
+    eight functions and four powers of a variable, which vanish, or have a
+    derivative that vanishes or blows up, at 0 and at multiples of pi/2.
+    Leaves combine under the four operators, the functions, powers and
+    unary minus, with every compound operand parenthesised."""
+    variable = st.sampled_from(variables)
+    functions = st.sampled_from(["sin", "cos", "tan", "exp", "ln", "sqrt", "sinh", "cosh"])
+    powers = st.sampled_from(["2", "3", "0.5", "-1"])
+    leaves = st.one_of(
+        variable,
+        st.sampled_from(["pi", "e", "0", "1", "0.5", "2.5", "3", "1e3"]),
+        st.builds(lambda f, v: f"{f}({v})", functions, variable),
+        st.builds(lambda v, k: f"({v})^{k}", variable, powers),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.builds(lambda f, a: f"{f}({a})", functions, inner),
+            st.builds(lambda a, op, b: f"({a}) {op} ({b})", inner,
+                      st.sampled_from("+-*/"), inner),
+            st.builds(lambda a, k: f"({a})^{k}", inner, powers),
+            st.builds(lambda a: f"-({a})", inner),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def draw_spec(draw):
+    """A spec file on a random chart with 8-12 samples an axis: a connection
+    of random entries, or a skew one with an optional closed trace
+    ``t(x) dx``, metric where its curvature does not vanish; and optional
+    second connection, metric and one-form sections.  ``draw`` is that of
+    a Hypothesis composite strategy."""
+    def bounds():
+        # an edge or a node at 0, where ln, sqrt and negative powers break
+        lo = draw(st.sampled_from([0.0, -1.0, 0.5, -3.0]))
+        return f"{lo} .. {lo + draw(st.sampled_from([0.5, 1.0, 2.0, 6.283185307179586]))}"
+
+    def entries(keys):
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
+        return "".join(f"{key} = {draw(coefficients())}\n" for key in chosen)
+
+    def connection():
+        if draw(st.booleans()):
+            return entries([f"theta.{i}.{j}.{part}" for i in "12" for j in "12"
+                            for part in ("dx", "dy")])
+        # the curvature of w dy is w_x dx^dy, and that of w dx is -w_y dx^dy
+        part, variable = draw(st.sampled_from([("dy", "x"), ("dx", "y")]))
+        w = draw(coefficients(variable))
+        text = f"theta.1.2.{part} = {w}\ntheta.2.1.{part} = -({w})\n"
+        if draw(st.integers(0, 3)):
+            trace = draw(coefficients("x"))
+            text += f"theta.1.1.dx = {trace}\ntheta.2.2.dx = {trace}\n"
+        return text
+
+    def metric():
+        diagonal = st.one_of(st.sampled_from(["1", "2.5"]),
+                             coefficients().map(lambda a: f"1 + ({a})^2"), coefficients())
+        text = f"g.1.1 = {draw(diagonal)}\ng.2.2 = {draw(diagonal)}\n"
+        if draw(st.booleans()):
+            text += f"g.1.2 = 0.1 * ({draw(coefficients())})\n"
+        return text
+
+    periodic = " ".join(draw(st.sampled_from(["true", "false"])) for _ in "xy")
+    grid = " ".join(str(draw(st.integers(8, 12))) for _ in "xy")
+    text = (f"[chart]\nx = {bounds()}\ny = {bounds()}\nperiodic = {periodic}\n"
+            f"grid = {grid}\n\n[connection]\n{connection()}")
+    for section, body in (("connection2", connection), ("metric", metric),
+                          ("oneform", lambda: entries(["u.dx", "u.dy"]))):
+        if draw(st.integers(0, 3)):
+            text += f"\n[{section}]\n{body()}"
+    return text
+
+
+@pytest.mark.skipif(given is None, reason="needs Hypothesis")
+def test_generated_specs_keep_the_exit_code_contract(tmp_path):
+    # every spec command, in text and in --json mode, exits 0, 1, 2 or 3
+    # without raising; both modes agree; --json writes one JSON document
+    # unless the input is an error, and an input error writes nothing
+    path = tmp_path / "generated.conn"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.composite(draw_spec)())
+    def check(text):
+        path.write_text(text, encoding="utf-8")
+        for command in SPEC_COMMANDS:
+            code, out, _ = run_cli(command, str(path))
+            json_code, json_out, _ = run_cli(command, str(path), "--json")
+            assert code in (0, 1, 2, 3), (command, text)
+            assert json_code == code, (command, text)
+            if code == 3:
+                assert out == json_out == "", (command, text)
+            else:
+                assert json.loads(json_out)["command"] == command
+
+    check()

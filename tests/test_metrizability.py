@@ -19,12 +19,9 @@ from metriconn.metrizability import (
     Verdict,
     check_metrizability,
     factor_curvature,
-    imaginary_eigenvalue_test,
     recover_metric,
     skew_symmetrizer,
     spd_sqrt,
-    symplectic_identity_residual,
-    transition_orthogonality,
     _imaginary_eigenvalues,
 )
 
@@ -36,7 +33,9 @@ from helpers import (
     random_traceless_positive,
     scrambled_instance,
     skew_connection,
+    symplectic_identity_residual,
     torus_chart,
+    transition_orthogonality,
     zero_form,
 )
 
@@ -77,20 +76,25 @@ def test_factor_curvature_degenerate_volume(chart):
     assert chart.contains(x, y)
 
 
+def _eigen_on_floats(u):
+    """The eigenvalue predicate on the float entries of a 2x2 matrix."""
+    return _imaginary_eigenvalues(u[0][0], u[0][1], u[1][0], u[1][1], DEFAULT_TOLERANCES)
+
+
 @pytest.mark.parametrize("matrix,expected", [
     ([[0.0, 1.0], [-1.0, 0.0]], True),     # eigenvalues +-i
     ([[0.0, 1.0], [1.0, 0.0]], False),     # det -1, real eigenvalues
     ([[1.0, 1.0], [-1.0, -1.0]], False),   # nilpotent, zero eigenvalues
 ])
 def test_imaginary_eigenvalue_test(matrix, expected):
-    outcome = imaginary_eigenvalue_test(matrix)
-    assert bool(outcome) is expected
+    ok, _, _, _ = _eigen_on_floats(matrix)
+    assert bool(ok) is expected
 
 
 def test_imaginary_eigenvalue_margins():
-    outcome = imaginary_eigenvalue_test([[0.0, 2.0], [-3.0, 0.0]])
-    assert outcome.trace == 0.0
-    assert outcome.det == 6.0
+    _, trace, det, _ = _eigen_on_floats([[0.0, 2.0], [-3.0, 0.0]])
+    assert trace == 0.0
+    assert det == 6.0
 
 
 @pytest.mark.parametrize("u,expected", [
@@ -101,13 +105,13 @@ def test_imaginary_eigenvalue_margins():
     ([[0.0, 0.0], [0.0, 0.0]], False),       # zero matrix, scale 0
 ])
 def test_eigen_predicate_agrees_on_floats_and_grids(chart, u, expected):
-    on_floats = imaginary_eigenvalue_test(u)
+    ok_f, trace_f, det_f, scale_f = _eigen_on_floats(u)
     ok, trace, det, scale = _imaginary_eigenvalues(
         *(np.full(chart.grid, v) for row in u for v in row), DEFAULT_TOLERANCES)
-    assert on_floats.ok is expected
+    assert bool(ok_f) is expected
     assert np.all(ok == expected)
-    assert np.all(trace == on_floats.trace) and np.all(det == on_floats.det)
-    assert np.all(scale == on_floats.scale)
+    assert np.all(trace == trace_f) and np.all(det == det_f)
+    assert np.all(scale == scale_f)
     if expected:
         skew_symmetrizer(_const_matrix(u), chart)
     else:
@@ -185,7 +189,7 @@ def test_spd_sqrt_guard_is_not_a_recheck(chart):
     # spd_sqrt's own guard, which allows 1e-8, reports the miss
     a, b, c = -79.98416009221647, -45.81835584694699, 139.62670239919484
     u = [[a, b], [c, -a]]
-    assert imaginary_eigenvalue_test(u)
+    assert _eigen_on_floats(u)[0]
     with pytest.raises(NotSPD, match=r"\(det - 1 = 4\.5e-08\)"):
         spd_sqrt(skew_symmetrizer(_const_matrix(u), chart), chart)
 
