@@ -45,7 +45,6 @@ from .metrizability import (
     EigenPreconditionFailed,
     MetrizabilityReport,
     NotSPD,
-    Tolerances,
     Verdict,
     check_metrizability,
     factor_curvature,

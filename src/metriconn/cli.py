@@ -29,13 +29,7 @@ from .expr import DomainError, ParseError, to_source, to_sources
 from .forms import Chart, root_cache, sup_norm
 from .connection import ConnectionMatrix, NotFlat, SingularFrame, \
     compatibility_residual, residual_sup
-from .metrizability import (
-    DEFAULT_TOLERANCES,
-    MetrizabilityReport,
-    NotSPD,
-    Verdict,
-    check_metrizability,
-)
+from .metrizability import MetrizabilityReport, NotSPD, Verdict, check_metrizability
 from .volume_euler import NotCompatible, euler_form, volume_criterion
 from .gallery import GALLERY, semi_symmetric, levi_civita, torsion, RiemannianMetric2D
 from .specfile import SpecError, SpecFile, load_spec
@@ -103,10 +97,6 @@ def _tolerance_scale(text: str) -> float:
     if not (math.isfinite(scale) and scale > 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return scale
-
-
-def _tolerances(args):
-    return DEFAULT_TOLERANCES if args.tol is None else DEFAULT_TOLERANCES.scaled(args.tol)
 
 
 def _chart_fields(chart: Chart):
@@ -196,8 +186,7 @@ def _open_example(args):
 
 
 def _put_verdict(theta: ConnectionMatrix, args, report: _Report) -> MetrizabilityReport:
-    result = check_metrizability(theta, tolerances=_tolerances(args),
-                                 basepoint=args.basepoint)
+    result = check_metrizability(theta, tol=args.tol, basepoint=args.basepoint)
     report.put_all(_verdict_fields(result))
     return result
 
@@ -227,7 +216,7 @@ def _metric_table(chart: Chart, samples: np.ndarray):
 
 
 def _volume(spec: SpecFile, args, report: _Report) -> int:
-    result = volume_criterion(spec.require_connection(), tolerances=_tolerances(args),
+    result = volume_criterion(spec.require_connection(), tol=args.tol,
                               basepoint=args.basepoint)
     report.put("closed", result.closed)
     report.put("trace_curvature_max", result.trace_curvature_max)
@@ -248,7 +237,7 @@ def _volume(spec: SpecFile, args, report: _Report) -> int:
 def _euler(spec: SpecFile, args, report: _Report) -> int:
     theta = spec.require_connection()
     try:
-        result = euler_form(theta, spec.require_metric(), tolerances=_tolerances(args))
+        result = euler_form(theta, spec.require_metric(), tol=args.tol)
     except NotCompatible as exc:
         report.put("error", "NotCompatible")
         report.put("error.residual", exc.residual)
@@ -280,10 +269,8 @@ def _compare(spec: SpecFile, args, report: _Report) -> int:
     try:
         # one cache, as in compare_euler: the metric's arrays are evaluated once
         with root_cache():
-            first = euler_form(theta1, metric, tolerances=_tolerances(args),
-                               label="first connection")
-            second = euler_form(theta2, metric, tolerances=_tolerances(args),
-                                label="second connection")
+            first = euler_form(theta1, metric, tol=args.tol, label="first connection")
+            second = euler_form(theta2, metric, tol=args.tol, label="second connection")
     except NotCompatible as exc:
         report.put("error", "NotCompatible")
         report.put("error.which", exc.label)
@@ -297,11 +284,10 @@ def _compare(spec: SpecFile, args, report: _Report) -> int:
 
 
 def _put_connection(report: _Report, theta: ConnectionMatrix, prefix: str = "theta"):
-    for i in range(theta.m):
-        for j in range(theta.m):
-            form = theta.entries[i][j]
-            report.put(f"{prefix}.{i + 1}.{j + 1}.dx", to_source(form.p))
-            report.put(f"{prefix}.{i + 1}.{j + 1}.dy", to_source(form.q))
+    for i, row in enumerate(theta.entries, 1):
+        for j, form in enumerate(row, 1):
+            report.put(f"{prefix}.{i}.{j}.dx", to_source(form.p))
+            report.put(f"{prefix}.{i}.{j}.dy", to_source(form.q))
 
 
 def _torsion(spec: SpecFile, args, report: _Report) -> int:
@@ -340,12 +326,12 @@ def _semi_symmetric(spec: SpecFile, args, report: _Report) -> int:
 def _example(subject, args, report: _Report) -> int:
     entry, theta = subject
     result = _put_verdict(theta, args, report)
-    volume = volume_criterion(theta, tolerances=_tolerances(args))
+    volume = volume_criterion(theta, tol=args.tol)
     report.put("volume.closed", volume.closed)
     report.put("volume.defect.x", volume.period_defects[0])
     report.put("volume.defect.y", volume.period_defects[1])
     if entry.metric is not None:
-        euler = euler_form(theta, entry.metric, tolerances=_tolerances(args))
+        euler = euler_form(theta, entry.metric, tol=args.tol)
         report.put("euler_number", euler.euler_number)
     return _check_exit_code(result)
 
@@ -353,7 +339,7 @@ def _example(subject, args, report: _Report) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", type=int, nargs=2, metavar=("NX", "NY"),
                         help="override the chart grid")
-    parser.add_argument("--tol", type=_tolerance_scale, default=None, metavar="T",
+    parser.add_argument("--tol", type=_tolerance_scale, default=1.0, metavar="T",
                         help="scale all tolerances by T")
     parser.add_argument("--json", action="store_true",
                         help="emit the machine-readable flat report")

@@ -2,13 +2,14 @@
 metric-compatibility residual, interpolation, and parallel frames for flat
 connections.
 
-A connection matrix is an ``m x m`` matrix of 1-forms over a chart.  A
-frame change (:class:`FrameChange`) has expression entries, and
-:func:`gauge_transform` applies it symbolically.  A parallel frame of a flat
-connection (:class:`ParallelFrame`) is sampled instead, by ODE integration
-along gridlines, since path-ordered integrals have no closed form in the
-expression grammar; its node residual ``dB + theta B`` is measured by
-sixth-order finite differences.
+The bundle has rank 2, the whole scope of the decision: a connection matrix
+is a 2x2 matrix of 1-forms over a chart, and every matrix type rejects any
+other shape.  A frame change (:class:`FrameChange`) has expression entries,
+and :func:`gauge_transform` applies it symbolically.  A parallel frame of a
+flat connection (:class:`ParallelFrame`) is sampled instead, by ODE
+integration along gridlines, since path-ordered integrals have no closed
+form in the expression grammar; its node residual ``dB + theta B`` is
+measured by sixth-order finite differences.
 """
 
 from __future__ import annotations
@@ -40,24 +41,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Baseline tolerances; the scaled variants actually applied are echoed
-    in every report."""
-
-    flat: float = 1e-9          # scaled by 1 + sup|theta|
-    eigen_trace: float = 1e-8   # scaled pointwise by max|U|
-    eigen_det: float = 1e-10    # scaled pointwise by max|U|^2
-    skew: float = 1e-8          # bounds |P| / scale at each sample (parallel test)
-    compat: float = 1e-8        # euler/compare; scaled by metric/connection magnitudes
-
-    def scaled(self, factor: float) -> "Tolerances":
-        f = float(factor)
-        return Tolerances(self.flat * f, self.eigen_trace * f, self.eigen_det * f,
-                          self.skew * f, self.compat * f)
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# The base tolerances.  The public entry points take one scale ``tol``
+# (default 1); each applies ``BASE * tol``, and every report echoes the
+# tolerances it applied.
+FLAT_TOL = 1e-9          # scaled by 1 + sup|theta|
+EIGEN_TRACE_TOL = 1e-8   # scaled pointwise by max|U|
+EIGEN_DET_TOL = 1e-10    # scaled pointwise by max|U|^2
+PARALLEL_TOL = 1e-8      # bounds |P| / scale at each sample (parallel test)
+COMPAT_TOL = 1e-8        # euler/compare; scaled by metric/connection magnitudes
 
 
 class ChartMismatch(ValueError):
@@ -84,30 +75,26 @@ class NotFlat(ValueError):
 
 @dataclass(frozen=True)
 class _SquareMatrix:
-    """The ``m x m`` entries shared by the matrix types below, stored as a
-    tuple of row tuples."""
+    """The 2x2 entries shared by the matrix types below, stored as a tuple
+    of row tuples; the bundle has rank 2, so any other shape is a
+    ValueError."""
 
     entries: tuple
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.entries)
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix entries must be square")
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
+            raise ValueError("matrix entries must be 2x2")
         object.__setattr__(self, "entries", rows)
 
-    @property
-    def m(self) -> int:
-        return len(self.entries)
 
-
-def _identity(m: int) -> tuple:
-    return tuple(tuple(Const(1.0) if i == j else Const(0.0) for j in range(m))
-                 for i in range(m))
+def _identity() -> tuple:
+    return ((Const(1.0), Const(0.0)), (Const(0.0), Const(1.0)))
 
 
 @dataclass(frozen=True)
 class ConnectionMatrix(_SquareMatrix):
-    """``m x m`` matrix of 1-forms over a chart."""
+    """2x2 matrix of 1-forms over a chart."""
 
     chart: Chart
 
@@ -123,7 +110,7 @@ class ConnectionMatrix(_SquareMatrix):
 
 @dataclass(frozen=True)
 class CurvatureMatrix(_SquareMatrix):
-    """``m x m`` matrix of 2-forms; transforms by conjugation under gauge."""
+    """2x2 matrix of 2-forms; transforms by conjugation under gauge."""
 
     chart: Chart
 
@@ -138,8 +125,8 @@ class FrameChange(_SquareMatrix):
     chart: Chart
 
     @classmethod
-    def identity(cls, chart: Chart, m: int = 2) -> "FrameChange":
-        return cls(_identity(m), chart)
+    def identity(cls, chart: Chart) -> "FrameChange":
+        return cls(_identity(), chart)
 
 
 @dataclass(frozen=True)
@@ -152,8 +139,8 @@ class MetricField(_SquareMatrix):
         return cls(((g11, g12), (g12, g22)))
 
     @classmethod
-    def identity(cls, m: int = 2) -> "MetricField":
-        return cls(_identity(m))
+    def identity(cls) -> "MetricField":
+        return cls(_identity())
 
     def spd_witness(self, chart: Chart):
         """Return ``None`` if positive definite at every grid point, else the
@@ -172,21 +159,12 @@ def _not_spd(entries, chart: Chart):
 
 
 # ---------------------------------------------------------------------------
-# expression-matrix helpers (2x2 for anything needing an inverse)
+# 2x2 expression-matrix helpers
 
 
 def _mat_mul(a, b):
-    m = len(a)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, m):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2))
+                 for i in range(2))
 
 
 def _mat_diff(a, variable):
@@ -204,31 +182,20 @@ def _det2(a) -> Expr:
 def curvature(theta: ConnectionMatrix) -> CurvatureMatrix:
     """Curvature matrix: exterior derivative plus the wedge square of the
     connection matrix."""
-    m = theta.m
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = d1(theta.entries[i][j])
-            for k in range(m):
-                acc = acc + wedge11(theta.entries[i][k], theta.entries[k][j])
-            row.append(acc)
-        rows.append(tuple(row))
-    return CurvatureMatrix(tuple(rows), theta.chart)
+    t = theta.entries
+    return CurvatureMatrix(
+        tuple(tuple(d1(t[i][j]) + wedge11(t[i][0], t[0][j]) + wedge11(t[i][1], t[1][j])
+                    for j in range(2))
+              for i in range(2)),
+        theta.chart)
 
 
 def trace_connection(theta: ConnectionMatrix) -> OneForm:
-    acc = theta.entries[0][0]
-    for i in range(1, theta.m):
-        acc = acc + theta.entries[i][i]
-    return acc
+    return theta.entries[0][0] + theta.entries[1][1]
 
 
 def trace_curvature(omega: CurvatureMatrix) -> TwoForm:
-    acc = omega.entries[0][0]
-    for i in range(1, omega.m):
-        acc = acc + omega.entries[i][i]
-    return acc
+    return omega.entries[0][0] + omega.entries[1][1]
 
 
 def _vanishing(expr: Expr, chart: Chart):
@@ -259,8 +226,6 @@ def gauge_transform(theta: ConnectionMatrix, frame: FrameChange) -> ConnectionMa
         raise TypeError(f"gauge_transform takes a FrameChange, not {type(frame).__name__}")
     if theta.chart != frame.chart:
         raise ChartMismatch("connection and frame live on different charts")
-    if frame.m != 2:
-        raise NotImplementedError("symbolic frame inversion is implemented for m = 2")
     det = _det2(frame.entries)
     _check_nonsingular(det, frame.chart)
     return _gauge_transformed(theta, frame.entries, det)
@@ -277,37 +242,31 @@ def _gauge_transformed(theta: ConnectionMatrix, b, det: Expr) -> ConnectionMatri
     new_q = _mat_mul(binv, _mat_diff(b, "y"))
     conj_p = _mat_mul(binv, _mat_mul(theta.p_matrix(), b))
     conj_q = _mat_mul(binv, _mat_mul(theta.q_matrix(), b))
-    m = theta.m
     rows = tuple(
         tuple(
             OneForm(new_p[i][j] + conj_p[i][j], new_q[i][j] + conj_q[i][j])
-            for j in range(m)
+            for j in range(2)
         )
-        for i in range(m)
+        for i in range(2)
     )
     return ConnectionMatrix(rows, theta.chart)
 
 
 def compatibility_residual(theta: ConnectionMatrix, metric: MetricField):
     """Residual of the parallel-metric equation, ``dG - theta^T G - G theta``,
-    as an ``m x m`` matrix of 1-forms.  Zero on the sampled set exactly when
-    the metric is parallel for the connection there."""
-    m = theta.m
-    if metric.m != m:
-        raise ChartMismatch("metric and connection sizes differ")
-    g = metric.entries
+    as a 2x2 matrix of 1-forms.  Zero on the sampled set exactly when the
+    metric is parallel for the connection there."""
+    t, g = theta.entries, metric.entries
     rows = []
-    for i in range(m):
+    for i in range(2):
         row = []
-        for j in range(m):
-            p_acc = g[i][j].diff("x")
-            q_acc = g[i][j].diff("y")
-            for k in range(m):
-                th_ki = theta.entries[k][i]
-                th_kj = theta.entries[k][j]
-                p_acc = p_acc - (th_ki.p * g[k][j] + g[i][k] * th_kj.p)
-                q_acc = q_acc - (th_ki.q * g[k][j] + g[i][k] * th_kj.q)
-            row.append(OneForm(p_acc, q_acc))
+        for j in range(2):
+            p = g[i][j].diff("x")
+            q = g[i][j].diff("y")
+            for k in range(2):
+                p = p - (t[k][i].p * g[k][j] + g[i][k] * t[k][j].p)
+                q = q - (t[k][i].q * g[k][j] + g[i][k] * t[k][j].q)
+            row.append(OneForm(p, q))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -324,8 +283,6 @@ def interpolate(theta: ConnectionMatrix, psi: ConnectionMatrix, t: float) -> Con
     """
     if theta.chart != psi.chart:
         raise ChartMismatch("cannot interpolate connections on different charts")
-    if theta.m != psi.m:
-        raise ChartMismatch("cannot interpolate connections of different sizes")
     s = Const(1.0 - float(t))
     u = Const(float(t))
     rows = tuple(
@@ -360,15 +317,11 @@ class ParallelFrame:
     loop_x: np.ndarray | None
     loop_y: np.ndarray | None
 
-    @property
-    def m(self) -> int:
-        return self.values.shape[2]
-
     def loop_defect(self) -> float:
         defect = 0.0
         for loop in (self.loop_x, self.loop_y):
             if loop is not None:
-                defect = max(defect, float(np.max(np.abs(loop - np.eye(self.m)))))
+                defect = max(defect, float(np.max(np.abs(loop - np.eye(2)))))
         return defect
 
     def metric_samples(self) -> np.ndarray:
@@ -514,38 +467,36 @@ def _sweep(theta: ConnectionMatrix, basepoint, x_first: bool = True, riders=()):
     return (grid if x_first else grid.swapaxes(2, 3)), ridden
 
 
-def _curvature_peak(omega: CurvatureMatrix, theta_sup: float, tolerances: Tolerances):
+def _curvature_peak(omega: CurvatureMatrix, theta_sup: float, tol: float):
     """Sample the curvature ``omega`` of a connection ``theta`` for the flat
     test.
 
     Returns the curvature coefficients on the grid (row-major), their
     pointwise peak ``max_ij |Omega_ij|`` and the flat threshold
-    ``tolerances.flat * (1 + sup|theta|)``, given ``theta_sup = sup|theta|``.
+    ``FLAT_TOL * tol * (1 + sup|theta|)``, given ``theta_sup = sup|theta|``.
     """
     arrays = evaluate_grid_many([f.r for row in omega.entries for f in row], omega.chart)
     peak = np.maximum.reduce([np.abs(arr) for arr in arrays])
-    return arrays, peak, tolerances.flat * (1.0 + theta_sup)
+    return arrays, peak, FLAT_TOL * tol * (1.0 + theta_sup)
 
 
 def parallel_frame_flat(theta: ConnectionMatrix, basepoint=None, *,
-                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> ParallelFrame:
+                        tol: float = 1.0) -> ParallelFrame:
     """Construct a parallel frame for a flat rank-2 connection by RK4
     integration along the x-gridline through the basepoint, then along all
     y-gridlines in lockstep.
 
     Requires the curvature to vanish on the grid, to within
-    ``tolerances.flat`` scaled by ``1 + sup|theta|``; raises
+    ``FLAT_TOL * tol`` scaled by ``1 + sup|theta|``; raises
     :class:`NotFlat` otherwise.  The returned frame satisfies
     ``B(basepoint) = I`` and ``dB = -theta B`` up to the reported node
     residual; on periodic charts the loop transports around the generators
     are recorded as well.  A frame or residual that is not finite (the
     transport overflowed on this grid) raises ArithmeticError.
     """
-    if theta.m != 2:
-        raise ValueError("parallel frames are implemented for rank-2 bundles")
     chart = theta.chart
     basepoint = chart.point(basepoint)
-    _, peak, threshold = _curvature_peak(curvature(theta), theta.sup(), tolerances)
+    _, peak, threshold = _curvature_peak(curvature(theta), theta.sup(), tol)
     curved = peak > threshold
     if curved.any():
         raise NotFlat(chart.first_point(curved), float(peak[curved][0]), threshold)
@@ -553,8 +504,8 @@ def parallel_frame_flat(theta: ConnectionMatrix, basepoint=None, *,
 
 
 def _parallel_frame(theta: ConnectionMatrix, basepoint) -> ParallelFrame:
-    """The parallel frame of :func:`parallel_frame_flat`, for a rank-2
-    connection already known to be flat and a basepoint in the chart."""
+    """The parallel frame of :func:`parallel_frame_flat`, for a connection
+    already known to be flat and a basepoint in the chart."""
     chart = theta.chart
     xb, yb = basepoint
     # the transports around the periodic generators ride with the frame's
@@ -588,7 +539,7 @@ def _frame_residuals(theta: ConnectionMatrix, planes: np.ndarray) -> list:
     xs, ys = chart.xs("node")[:, None], chart.ys("node")[None, :]
     out = []
     for coeffs, h, axis in ((theta.p_matrix(), chart.hx, 0), (theta.q_matrix(), chart.hy, 1)):
-        res = grid_derivative(planes, h, axis + 2, periodic=False)
+        res = grid_derivative(planes, h, axis + 2)
         res += _mul(_coefficient_samples(coeffs, xs, ys), planes)
         out.append(res)
     return out

@@ -506,35 +506,29 @@ def _onesided_weights(position: int) -> np.ndarray:
     return np.linalg.solve(van, rhs)
 
 
-def grid_derivative(values: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
+def grid_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Sixth-order finite-difference first derivative of a sampled field.
 
-    Periodic axes wrap; non-periodic axes switch to one-sided stencils of
-    the same order near the edges.  ``values`` may have trailing dimensions
-    (for example sampled matrix fields).
+    Central stencils inside, one-sided stencils of the same order at the
+    three nodes next to each edge, on every axis: a sampled field need not
+    be periodic even on a periodic chart.  ``values`` may have trailing
+    dimensions (for example sampled matrix fields).
     """
     field = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
     n = field.shape[0]
     if n < 7:
         raise ValueError("need at least 7 samples along the axis")
     out = np.zeros_like(field)      # in the memory order of ``values``, as is the result
-    if periodic:
-        for k, c in enumerate(_CENTRAL7):
-            if c != 0.0:
-                term = np.roll(field, 3 - k, axis=0)
-                term *= c
-                out += term
-    else:
-        inner = out[3:n - 3]
-        term = np.empty_like(inner)
-        for k, c in enumerate(_CENTRAL7):
-            if c != 0.0:
-                np.multiply(field[k:n - 6 + k], c, out=term)
-                inner += term
-        for pos in range(3):
-            w_lo = _onesided_weights(pos)
-            w_hi = _onesided_weights(6 - pos)
-            out[pos] = np.tensordot(w_lo, field[:7], axes=(0, 0))
-            out[n - 1 - pos] = np.tensordot(w_hi, field[n - 7:], axes=(0, 0))
+    inner = out[3:n - 3]
+    term = np.empty_like(inner)
+    for k, c in enumerate(_CENTRAL7):
+        if c != 0.0:
+            np.multiply(field[k:n - 6 + k], c, out=term)
+            inner += term
+    for pos in range(3):
+        w_lo = _onesided_weights(pos)
+        w_hi = _onesided_weights(6 - pos)
+        out[pos] = np.tensordot(w_lo, field[:7], axes=(0, 0))
+        out[n - 1 - pos] = np.tensordot(w_hi, field[n - 7:], axes=(0, 0))
     out /= h
     return np.moveaxis(out, 0, axis)

@@ -52,11 +52,12 @@ from .forms import (
     sup_norm,
 )
 from .connection import (
-    DEFAULT_TOLERANCES,
+    EIGEN_DET_TOL,
+    EIGEN_TRACE_TOL,
+    PARALLEL_TOL,
     ConnectionMatrix,
     CurvatureMatrix,
     MetricField,
-    Tolerances,
     _curvature_peak,
     _not_spd,
     _parallel_frame,
@@ -67,11 +68,10 @@ from .connection import (
 )
 
 __all__ = [
-    "Verdict", "Tolerances", "CurvatureCoefficient", "MetrizabilityReport",
+    "Verdict", "CurvatureCoefficient", "MetrizabilityReport",
     "DegenerateVolume", "EigenPreconditionFailed", "NotSPD",
     "factor_curvature", "skew_symmetrizer",
     "spd_sqrt", "recover_metric", "check_metrizability",
-    "DEFAULT_TOLERANCES",
 ]
 
 
@@ -199,26 +199,26 @@ def factor_curvature(omega: CurvatureMatrix, volume: TwoForm) -> CurvatureCoeffi
     return CurvatureCoefficient(matrix, volume)
 
 
-def _imaginary_eigenvalues(u11, u12, u21, u22, tolerances: Tolerances):
+def _imaginary_eigenvalues(u11, u12, u21, u22, tol: float):
     """The purely-imaginary-eigenvalue test on the entries of ``U``, floats
     and grid arrays alike.
 
     Returns ``(ok, trace, det, scale)`` with ``scale = max |U_ij|``.  Both
     eigenvalues of a real 2x2 matrix are purely imaginary and nonzero
     exactly when the trace vanishes and the determinant is positive; the
-    margins are relative to ``scale``.
+    margins are ``EIGEN_TRACE_TOL * tol`` and ``EIGEN_DET_TOL * tol``,
+    relative to ``scale`` and ``scale^2``.
     """
     scale = np.maximum.reduce([np.abs(u11), np.abs(u12), np.abs(u21), np.abs(u22)])
     trace = u11 + u22
     det = u11 * u22 - u12 * u21
     ok = ((scale > 0.0)
-          & (np.abs(trace) <= tolerances.eigen_trace * scale)
-          & (det >= tolerances.eigen_det * scale * scale))
+          & (np.abs(trace) <= EIGEN_TRACE_TOL * tol * scale)
+          & (det >= EIGEN_DET_TOL * tol * scale * scale))
     return ok, trace, det, scale
 
 
-def skew_symmetrizer(matrix, chart: Chart,
-                     tolerances: Tolerances = DEFAULT_TOLERANCES):
+def skew_symmetrizer(matrix, chart: Chart, tol: float = 1.0):
     """Symmetric positive-definite solution ``S`` of ``U S + S U^T = 0`` with
     ``det S = 1``, as a 2x2 matrix of expressions.
 
@@ -235,7 +235,7 @@ def skew_symmetrizer(matrix, chart: Chart,
     a grid point.
     """
     ok, trace, det, _ = _imaginary_eigenvalues(*evaluate_grid_many(
-        [matrix[0][0], matrix[0][1], matrix[1][0], matrix[1][1]], chart), tolerances)
+        [matrix[0][0], matrix[0][1], matrix[1][0], matrix[1][1]], chart), tol)
     if not ok.all():
         bad = ~ok
         raise EigenPreconditionFailed(
@@ -318,10 +318,9 @@ def _peak(exprs, chart: Chart) -> np.ndarray:
 _ROUNDING = 32.0
 
 
-def check_metrizability(theta: ConnectionMatrix, chart: Chart | None = None, *,
-                        tolerances: Tolerances = DEFAULT_TOLERANCES,
+def check_metrizability(theta: ConnectionMatrix, *, tol: float = 1.0,
                         basepoint=None) -> MetrizabilityReport:
-    """Decide whether a rank-2 connection is locally metric on the chart.
+    """Decide whether a rank-2 connection is locally metric on its chart.
 
     Returns a report whose verdict is one of ``Metric`` (with the recovered
     metric), ``Flat`` (with a sampled parallel metric and loop defects),
@@ -330,6 +329,8 @@ def check_metrizability(theta: ConnectionMatrix, chart: Chart | None = None, *,
     subset of the grid, where the pointwise construction does not apply;
     or every sample that fails the parallel test is uncertified.
     A basepoint outside the chart is a ValueError, whatever the verdict.
+    Every base tolerance is scaled by ``tol``, and the report echoes the
+    tolerances applied.
 
     One root cache (:func:`~metriconn.forms.root_cache`) is open for the
     length of the call, so each stage takes the grid arrays of the
@@ -346,26 +347,22 @@ def check_metrizability(theta: ConnectionMatrix, chart: Chart | None = None, *,
     tape.
     """
     with root_cache():
-        return _decide(theta, chart, tolerances, basepoint)
+        return _decide(theta, tol, basepoint)
 
 
-def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances,
-            basepoint) -> MetrizabilityReport:
-    if chart is not None and chart != theta.chart:
-        theta = ConnectionMatrix(theta.entries, chart)
+def _decide(theta: ConnectionMatrix, tol: float, basepoint) -> MetrizabilityReport:
+    parallel_tol = PARALLEL_TOL * tol
     chart = theta.chart
-    if theta.m != 2:
-        raise ValueError("metrizability decision is implemented for rank-2 bundles")
     basepoint = chart.point(basepoint)
 
     theta_sup = theta.sup()
     omega = curvature(theta)
-    u, peak, flat_tol = _curvature_peak(omega, theta_sup, tolerances)
+    u, peak, flat_tol = _curvature_peak(omega, theta_sup, tol)
     tol_echo = {
         "flat": flat_tol,
-        "eigen_trace": tolerances.eigen_trace,
-        "eigen_det": tolerances.eigen_det,
-        "skew_base": tolerances.skew,
+        "eigen_trace": EIGEN_TRACE_TOL * tol,
+        "eigen_det": EIGEN_DET_TOL * tol,
+        "skew_base": parallel_tol,
     }
 
     zero_mask = peak <= flat_tol
@@ -397,7 +394,7 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
 
     # with volume form dx^dy the curvature coefficient U is the matrix of
     # the curvature's own dx^dy coefficients, sampled above
-    ok, trace, det, u_scale = _imaginary_eigenvalues(*u, tolerances)
+    ok, trace, det, u_scale = _imaginary_eigenvalues(*u, tol)
     u_fields = dict(min_det_u=float(np.min(det)), max_abs_trace_u=float(np.max(np.abs(trace))),
                     tolerances=tol_echo)
     if not ok.all():
@@ -424,11 +421,11 @@ def _decide(theta: ConnectionMatrix, chart: Chart | None, tolerances: Tolerances
     scale = np.maximum(u_scale * u_scale * (u_scale * theta_abs + du), np.finfo(float).tiny)
     measured = _peak(parallel, chart) / scale
     floor = _ROUNDING * np.finfo(float).eps * (dtheta + theta_abs * theta_abs) / u_scale
-    tol_echo["parallel"] = tolerances.skew
+    tol_echo["parallel"] = parallel_tol
     max_parallel = float(np.max(measured))
-    failing = measured > tolerances.skew
+    failing = measured > parallel_tol
     if failing.any():
-        uncertified = floor >= tolerances.skew
+        uncertified = floor >= parallel_tol
         witnessed = failing & ~uncertified
         return MetrizabilityReport(
             verdict=Verdict.NOT_METRIC_SKEW if witnessed.any() else Verdict.INCONCLUSIVE,

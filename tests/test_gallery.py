@@ -190,7 +190,7 @@ def test_gallery_entries_build():
     for name, builder in GALLERY.items():
         entry = builder()
         assert entry.name == name
-        assert entry.connection.m == 2
+        assert len(entry.connection.entries) == 2
         if entry.metric is not None:
             assert entry.metric.spd_witness(entry.connection.chart) is None
 

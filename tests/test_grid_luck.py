@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from metriconn.cli import run
-from metriconn.connection import ConnectionMatrix, Tolerances
+from metriconn import metrizability
+from metriconn.connection import ConnectionMatrix
 from metriconn.expr import Const, Y, sin
 from metriconn.forms import OneForm
 from metriconn.metrizability import Verdict, check_metrizability
@@ -94,11 +95,12 @@ def test_perturbed_scrambles_stay_negative(eps, n):
     assert all(v in NEGATIVE for v in verdicts), verdicts
 
 
-def test_failures_under_the_rounding_floor_are_inconclusive():
+def test_failures_under_the_rounding_floor_are_inconclusive(monkeypatch):
     # a tolerance far below float64 rounding: every sample fails, and none
     # of them is certified, so no sample may serve as a witness
     theta = seed_2024()[0]
-    report = check_metrizability(theta, tolerances=Tolerances(skew=1e-17))
+    monkeypatch.setattr(metrizability, "PARALLEL_TOL", 1e-17)
+    report = check_metrizability(theta)
     assert report.verdict is Verdict.INCONCLUSIVE
     assert report.witness is None
     assert report.tolerances["parallel"] == 1e-17

@@ -5,14 +5,15 @@ from metriconn.expr import Const, X, cos
 from metriconn.forms import Chart, OneForm, TwoForm, evaluate_grid_many, sup_norm
 from metriconn.connection import (
     ConnectionMatrix,
+    CurvatureMatrix,
     FrameChange,
+    MetricField,
     compatibility_residual,
     curvature,
     gauge_transform,
     residual_sup,
 )
 from metriconn.metrizability import (
-    DEFAULT_TOLERANCES,
     DegenerateVolume,
     EigenPreconditionFailed,
     NotSPD,
@@ -78,7 +79,7 @@ def test_factor_curvature_degenerate_volume(chart):
 
 def _eigen_on_floats(u):
     """The eigenvalue predicate on the float entries of a 2x2 matrix."""
-    return _imaginary_eigenvalues(u[0][0], u[0][1], u[1][0], u[1][1], DEFAULT_TOLERANCES)
+    return _imaginary_eigenvalues(u[0][0], u[0][1], u[1][0], u[1][1], 1.0)
 
 
 @pytest.mark.parametrize("matrix,expected", [
@@ -107,7 +108,7 @@ def test_imaginary_eigenvalue_margins():
 def test_eigen_predicate_agrees_on_floats_and_grids(chart, u, expected):
     ok_f, trace_f, det_f, scale_f = _eigen_on_floats(u)
     ok, trace, det, scale = _imaginary_eigenvalues(
-        *(np.full(chart.grid, v) for row in u for v in row), DEFAULT_TOLERANCES)
+        *(np.full(chart.grid, v) for row in u for v in row), 1.0)
     assert bool(ok_f) is expected
     assert np.all(ok == expected)
     assert np.all(trace == trace_f) and np.all(det == det_f)
@@ -433,10 +434,16 @@ def test_check_frame_choice_covariance(chart):
 
 
 def test_check_rejects_rank_mismatch(chart):
-    z = zero_form()
-    theta = ConnectionMatrix(((z,),), chart)
-    with pytest.raises(ValueError):
-        check_metrizability(theta)
+    # the bundle has rank 2: each matrix type refuses a 1x1, a 3x3 and a
+    # ragged matrix when it is built, before any decision runs
+    entries = {ConnectionMatrix: zero_form(), CurvatureMatrix: TwoForm(ZERO),
+               FrameChange: ZERO, MetricField: ZERO}
+    for cls, entry in entries.items():
+        args = () if cls is MetricField else (chart,)
+        for rows in ((1,), (3, 3, 3), (2, 1)):
+            with pytest.raises(ValueError, match="2x2"):
+                cls(tuple((entry,) * n for n in rows), *args)
+        assert len(cls(((entry, entry), (entry, entry)), *args).entries) == 2
 
 
 def test_recovered_metric_expressions_round_trip(chart):

@@ -1,10 +1,14 @@
 """Every public name of ``metriconn`` resolves: a stale ``__all__`` entry
 breaks ``from metriconn.<module> import *``, and the package re-exports
-only names its modules list."""
+only names its modules list.  Importing the package loads numpy and none
+of the packages that serve the tests only."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,18 @@ def test_the_package_imports_only_listed_names():
         module = importlib.import_module(f"metriconn.{module_name}")
         assert hasattr(metriconn, name), name
         assert name in module.__all__, f"metriconn.{module_name}.{name}"
+
+
+TEST_ONLY = ("scipy", "sympy", "mpmath", "hypothesis", "pytest")
+
+
+def test_import_loads_numpy_and_no_test_only_package():
+    # a fresh interpreter: this one has pytest and its plugins loaded
+    code = ("import sys, metriconn; "
+            "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))")
+    src = str(Path(metriconn.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    loaded = set(done.stdout.split())
+    assert "metriconn" in loaded and "numpy" in loaded
+    assert sorted(loaded.intersection(TEST_ONLY)) == []

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from metriconn.expr import Const, X, Y, cos, sin
-from metriconn.forms import OneForm, evaluate_grid, sup_norm
+from metriconn.expr import Const, X, Y, cos, exp, sin
+from metriconn.forms import Chart, OneForm, evaluate_grid, sup_norm
 from metriconn.connection import (
     ConnectionMatrix,
     FrameChange,
@@ -12,6 +14,7 @@ from metriconn.connection import (
     interpolate,
     trace_connection,
 )
+from metriconn.gallery import RiemannianMetric2D, levi_civita
 from metriconn.volume_euler import (
     NotCompatible,
     compare_euler,
@@ -107,6 +110,20 @@ def test_euler_linear_coefficient_box():
     theta = skew_connection(OneForm(ZERO, X), box)
     report = euler_form(theta, MetricField.identity())
     assert report.euler_number == pytest.approx(TAU, abs=1e-6)
+
+
+# diag(1, exp(3x)) on [0, 20] x [0, 1]: K = -2.25 and sqrt(det g) = exp(1.5 x)
+STEEP_EULER = -1.5 * math.expm1(30.0) / (2.0 * math.pi)
+
+
+def test_euler_takes_a_steep_positive_definite_metric():
+    # the orthonormal frame's determinant exp(-1.5 x) is positive wherever
+    # the metric is positive definite, though a relative vanishing test
+    # rejected it near x = 18
+    chart = Chart((0.0, 20.0), (0.0, 1.0), grid=(64, 16))
+    g = RiemannianMetric2D(MetricField.symmetric(ONE, ZERO, exp(X * 3.0)), chart)
+    report = euler_form(levi_civita(g), g.metric)
+    assert abs(report.euler_number / STEEP_EULER - 1.0) <= 1e-4
 
 
 def test_euler_rejects_incompatible(torus):
