@@ -25,11 +25,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
-from .expr import DomainError, ParseError, to_source, to_sources
+from .expr import to_source, to_sources
 from .forms import Chart, root_cache, sup_norm
-from .connection import ConnectionMatrix, NotFlat, SingularFrame, \
-    compatibility_residual, residual_sup
-from .metrizability import MetrizabilityReport, NotSPD, Verdict, check_metrizability
+from .connection import ConnectionMatrix, compatibility_residual, residual_sup
+from .metrizability import MetrizabilityReport, Verdict, check_metrizability
 from .volume_euler import NotCompatible, euler_form, volume_criterion
 from .gallery import GALLERY, semi_symmetric, levi_civita, torsion, RiemannianMetric2D
 from .specfile import SpecError, SpecFile, load_spec
@@ -245,7 +244,7 @@ def _euler(spec: SpecFile, args, report: _Report) -> int:
         return EXIT_NEGATIVE
     report.put("euler_number", result.euler_number)
     report.put("euler_form.coefficient", to_source(result.euler_form.r))
-    report.put("diagnostics.skew_residual", result.skew_residual)
+    report.put("diagnostics.compat_residual", result.compat_residual)
     return EXIT_SUCCESS
 
 
@@ -403,8 +402,7 @@ def run(argv=None, out=None, err=None) -> int:
         code = args.body(subject, args, report)
         report.emit(out, args.json)
         return code
-    except (SpecError, ParseError, NotSPD, DomainError, SingularFrame, NotFlat,
-            ValueError, ArithmeticError, RecursionError) as exc:
+    except (ValueError, ArithmeticError, RecursionError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
 

@@ -206,34 +206,27 @@ def _vanishing(expr: Expr, chart: Chart):
     return values, magnitude <= 1e-12 * (1.0 + float(np.max(magnitude)))
 
 
-def _check_nonsingular(det: Expr, chart: Chart) -> None:
-    """The guard of a symbolic frame change: its determinant ``det`` must
-    not vanish at a grid sample."""
-    det, bad = _vanishing(det, chart)
-    if bad.any():
-        raise SingularFrame(chart.first_point(bad), float(det[bad][0]))
-
-
 def gauge_transform(theta: ConnectionMatrix, frame: FrameChange) -> ConnectionMatrix:
     """Transform the connection matrix under a symbolic change of frame
     ``B``: the result is the exact symbolic ``B^-1 dB + B^-1 theta B``.
 
     Only a :class:`FrameChange` is accepted; any other frame, a sampled
     :class:`ParallelFrame` included, is a TypeError.  Raises
-    :class:`SingularFrame` if ``det B`` vanishes at a grid sample.
+    :class:`SingularFrame` if ``det B`` vanishes at a grid sample, that is,
+    if it is within ``1e-12`` of the scale ``|b11 b22| + |b12 b21|`` of its
+    terms there, so a determinant that is small but sure of its sign passes.
     """
     if not isinstance(frame, FrameChange):
         raise TypeError(f"gauge_transform takes a FrameChange, not {type(frame).__name__}")
     if theta.chart != frame.chart:
         raise ChartMismatch("connection and frame live on different charts")
-    det = _det2(frame.entries)
-    _check_nonsingular(det, frame.chart)
-    return _gauge_transformed(theta, frame.entries, det)
-
-
-def _gauge_transformed(theta: ConnectionMatrix, b, det: Expr) -> ConnectionMatrix:
-    """The closed form of :func:`gauge_transform` for a 2x2 frame ``b`` of
-    determinant ``det`` known not to vanish."""
+    b, chart = frame.entries, frame.chart
+    diagonal, anti = b[0][0] * b[1][1], b[0][1] * b[1][0]
+    det = diagonal - anti
+    values, diag_values, anti_values = evaluate_grid_many([det, diagonal, anti], chart)
+    bad = np.abs(values) <= 1e-12 * (np.abs(diag_values) + np.abs(anti_values))
+    if bad.any():
+        raise SingularFrame(chart.first_point(bad), float(values[bad][0]))
     binv = (
         (b[1][1] / det, -b[0][1] / det),
         (-b[1][0] / det, b[0][0] / det),

@@ -7,9 +7,10 @@ the loop integrals of ``tr theta`` around the generators are reported: a
 nonzero loop defect obstructs any global volume form (and hence any global
 parallel metric).
 
-For a connection with a chart-global compatible metric, the curvature in an
-orthonormalized frame is skew and its off-diagonal entry divided by ``2 pi``
-is the Euler 2-form; its integral is the Euler number used to compare
+For a connection compatible with a metric ``g``, the matrix ``g Omega`` is
+skew, and its Pfaffian ``(g Omega)_12 / (2 pi sqrt(det g))`` is the Euler
+2-form in any frame (Chern-Weil); it is formed in the given frame, with no
+orthonormal frame.  Its integral is the Euler number used to compare
 metric-equivalent connections.
 
 :func:`volume_criterion`, :func:`euler_form` and :func:`compare_euler`
@@ -18,12 +19,10 @@ keeps the grid arrays of the roots evaluated on a chart lattice by their
 value numbers, so a later stage of the call takes them as they are.  A
 call inside another joins its cache, so the two Euler forms of
 :func:`compare_euler` share the grid arrays of their metric.
-:func:`euler_form` evaluates the roots of all its guards (the metric
-entries, the compatibility residual, the connection and the symmetric parts
-of the transformed connection) as one tape before the first guard, which
-still checks them in the old order; on a chart periodic in both axes the
-Euler integrand joins that tape, so it shares the intermediates of the
-transformed connection.
+:func:`euler_form` evaluates the roots of its guards (the metric entries,
+the compatibility residual and the connection) as one tape before the
+first guard; on a chart periodic in both axes the Euler integrand joins
+that tape, so it shares the arrays of the metric and the connection.
 """
 
 from __future__ import annotations
@@ -50,10 +49,8 @@ from .connection import (
     COMPAT_TOL,
     FLAT_TOL,
     ConnectionMatrix,
-    FrameChange,
     MetricField,
     _det2,
-    _gauge_transformed,
     compatibility_residual,
     curvature,
     trace_connection,
@@ -133,36 +130,24 @@ def _volume(theta: ConnectionMatrix, tol: float, basepoint) -> VolumeReport:
 
 @dataclass(frozen=True)
 class EulerReport:
-    """Euler 2-form of a metric connection in an orthonormalized frame, its
-    integral over the chart, and the frame used."""
+    """Euler 2-form of a metric connection, the Pfaffian
+    ``(g Omega)_12 / (2 pi sqrt(det g))`` in the given frame, its integral
+    over the chart, and the compatibility residual ``sup|dg - theta^T g -
+    g theta|`` that the connection passed."""
 
     euler_form: TwoForm
     euler_number: float
-    frame_used: FrameChange
-    skew_residual: float
+    compat_residual: float
 
 
 def _require_compatible(theta: ConnectionMatrix, metric: MetricField, residual,
-                        label: str, tol: float) -> None:
+                        label: str, tol: float) -> float:
     chart = theta.chart
     value = sup_norm(residual, chart)
     bound = COMPAT_TOL * tol * (1.0 + sup_norm(metric.entries, chart)) * (1.0 + theta.sup())
     if value > bound:
         raise NotCompatible(label, value, bound)
-
-
-def _orthonormal_frame(metric: MetricField):
-    """Entries of the frame change making the metric the identity: the
-    inverse transpose of the lower-triangular square root of ``G`` (closed
-    2x2 form)."""
-    (g11, g12), (_, g22) = metric.entries
-    l11 = expr_sqrt(g11)
-    l21 = g12 / l11
-    l22 = expr_sqrt(g22 - l21 * l21)
-    inv_l11 = Const(1.0) / l11
-    inv_l22 = Const(1.0) / l22
-    upper = (-(l21) / (l11 * l22))
-    return ((inv_l11, upper), (Const(0.0), inv_l22))
+    return value
 
 
 def euler_form(theta: ConnectionMatrix, metric: MetricField, *, tol: float = 1.0,
@@ -181,32 +166,24 @@ def euler_form(theta: ConnectionMatrix, metric: MetricField, *, tol: float = 1.0
 def _euler(theta: ConnectionMatrix, metric: MetricField, tol: float,
            label: str) -> EulerReport:
     chart = theta.chart
-    frame = _orthonormal_frame(metric)
+    g = metric.entries
+    omega = curvature(theta).entries
     residual = compatibility_residual(theta, metric)
-    det = _det2(frame)
-    theta_prime = _gauge_transformed(theta, frame, det)
-    sym = []
-    for i in range(2):
-        for j in range(i, 2):
-            form = theta_prime.entries[i][j] + theta_prime.entries[j][i]
-            sym.extend([form.p, form.q])
-    omega_prime = curvature(theta_prime)
-    form = TwoForm(omega_prime.entries[0][1].r * Const(1.0 / (2.0 * math.pi)))
+    # g Omega is skew for a compatible connection, so its Pfaffian is its
+    # (1, 2) entry; sqrt(det g) is defined wherever the guard below passes
+    form = TwoForm((g[0][0] * omega[0][1].r + g[0][1] * omega[1][1].r)
+                   / expr_sqrt(_det2(g)) * Const(1.0 / (2.0 * math.pi)))
     # the roots of every guard below as one tape, with the integrand where
     # the quadrature samples the "mid" lattice; each guard checks its own
-    roots = [metric.entries, residual, theta.entries, sym]
+    roots = [metric.entries, residual, theta.entries]
     if chart.periodic_x and chart.periodic_y:
         roots.append(form)
     prefetch(roots, chart)
     witness = metric.spd_witness(chart)
     if witness is not None:
         raise ValueError(f"metric is not positive definite near {witness}")
-    # the frame needs no guard of its own: its determinant 1 / (l11 l22) is
-    # positive wherever the metric is positive definite, as just checked
-    _require_compatible(theta, metric, residual, label, tol)
-    skew_residual = float(max(np.max(np.abs(a)) for a in evaluate_grid_many(sym, chart)))
-    number = integrate2(form, chart)
-    return EulerReport(form, number, FrameChange(frame, chart), skew_residual)
+    compat = _require_compatible(theta, metric, residual, label, tol)
+    return EulerReport(form, integrate2(form, chart), compat)
 
 
 def compare_euler(theta1: ConnectionMatrix, theta2: ConnectionMatrix,

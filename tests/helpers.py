@@ -238,6 +238,36 @@ def symmetric_part_sup(theta: ConnectionMatrix) -> float:
     return sup_norm(forms, theta.chart)
 
 
+def orthonormal_frame(metric):
+    """Entries of the frame change making the metric the identity: the
+    inverse transpose of the lower-triangular square root of ``G`` (closed
+    2x2 form).  The reference for the Euler form: in this frame the
+    curvature of a compatible connection is skew, and its (1, 2) entry over
+    ``2 pi`` is the Euler form."""
+    (g11, g12), (_, g22) = metric.entries
+    l11 = sqrt(g11)
+    l21 = g12 / l11
+    l22 = sqrt(g22 - l21 * l21)
+    inv_l11 = Const(1.0) / l11
+    inv_l22 = Const(1.0) / l22
+    upper = (-(l21) / (l11 * l22))
+    return ((inv_l11, upper), (Const(0.0), inv_l22))
+
+
+def orthonormal_euler_gap(report, theta: ConnectionMatrix, metric) -> tuple[float, float]:
+    """How far an Euler report is from the orthonormal-frame reference:
+    the largest symmetric part of ``theta`` in the frame of
+    :func:`orthonormal_frame` (its skew residual), and the largest
+    pointwise gap, relative to ``1 + sup|reference|``, between the
+    report's form and the reference ``curvature(theta')_12 / 2 pi``."""
+    chart = theta.chart
+    prime = gauge_transform(theta, FrameChange(orthonormal_frame(metric), chart))
+    reference = curvature(prime).entries[0][1].r * Const(1.0 / (2.0 * math.pi))
+    values, expected = evaluate_grid_many([report.euler_form.r, reference], chart)
+    gap = np.max(np.abs(values - expected)) / (1.0 + np.max(np.abs(expected)))
+    return symmetric_part_sup(prime), float(gap)
+
+
 def parallel_metric_residual(theta: ConnectionMatrix, report) -> float:
     """The largest compatibility residual on the grid of the parallel metric
     a ``Metric`` report gives.  With a conformal factor that metric is

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metriconn.expr import Const, X, Y, cos, exp, sin
-from metriconn.forms import OneForm, evaluate_grid_many, sup_norm
+from metriconn.forms import Chart, OneForm, evaluate_grid_many, sup_norm
 from metriconn.connection import (
     ChartMismatch,
     ConnectionMatrix,
@@ -275,3 +275,17 @@ def test_gauge_rejects_singular_frame(chart, skew_x):
         gauge_transform(skew_x, frame)
     x, y = excinfo.value.point
     assert chart.contains(x, y)
+
+
+def test_gauge_takes_a_steep_frame_with_a_positive_determinant():
+    # det = exp(-3x) falls to 9.4e-27 at x = 20 but never vanishes: against
+    # its own terms it is exact at every sample, though a test relative to
+    # the chart's largest det rejected it near x = 9.2
+    chart = Chart((0.0, 20.0), (0.0, 1.0), grid=(64, 16))
+    z = OneForm(ZERO, ZERO)
+    theta = ConnectionMatrix(((z, z), (z, z)), chart)
+    frame = FrameChange(((ONE, ZERO), (ZERO, exp(X * -3.0))), chart)
+    prime = gauge_transform(theta, frame)
+    assert sup_norm(prime.entries[1][1].p + Const(3.0), chart) <= 1e-12
+    assert sup_norm([prime.entries[1][1].q, prime.entries[0][0], prime.entries[0][1],
+                     prime.entries[1][0]], chart) == 0.0

@@ -9,12 +9,14 @@ from metriconn.connection import (
     ConnectionMatrix,
     FrameChange,
     MetricField,
+    compatibility_residual,
     curvature,
     gauge_transform,
     interpolate,
+    residual_sup,
     trace_connection,
 )
-from metriconn.gallery import RiemannianMetric2D, levi_civita
+from metriconn.gallery import GALLERY, RiemannianMetric2D, levi_civita
 from metriconn.volume_euler import (
     NotCompatible,
     compare_euler,
@@ -24,6 +26,8 @@ from metriconn.volume_euler import (
 
 from helpers import (
     TAU,
+    orthonormal_euler_gap,
+    orthonormal_frame,
     scrambled_instance,
     skew_connection,
     symmetric_part_sup,
@@ -117,9 +121,8 @@ STEEP_EULER = -1.5 * math.expm1(30.0) / (2.0 * math.pi)
 
 
 def test_euler_takes_a_steep_positive_definite_metric():
-    # the orthonormal frame's determinant exp(-1.5 x) is positive wherever
-    # the metric is positive definite, though a relative vanishing test
-    # rejected it near x = 18
+    # sqrt(det g) = exp(1.5 x) spans 20 orders of magnitude; the form's
+    # only guard is that g is positive definite, which it is everywhere
     chart = Chart((0.0, 20.0), (0.0, 1.0), grid=(64, 16))
     g = RiemannianMetric2D(MetricField.symmetric(ONE, ZERO, exp(X * 3.0)), chart)
     report = euler_form(levi_civita(g), g.metric)
@@ -172,7 +175,36 @@ def test_orthonormal_frame_trace_vanishes(chart):
     from metriconn.metrizability import check_metrizability, Verdict
     report = check_metrizability(theta)
     assert report.verdict is Verdict.METRIC
-    euler = euler_form(theta, report.metric)
-    prime = gauge_transform(theta, euler.frame_used)
+    prime = gauge_transform(theta, FrameChange(orthonormal_frame(report.metric), chart))
     trace = trace_connection(prime)
     assert sup_norm(trace, chart) <= 1e-10 * (1.0 + theta.sup())
+
+
+@pytest.mark.parametrize("name", ["semi_symmetric", "hyperbolic_band"])
+def test_euler_form_matches_the_orthonormal_frame_on_the_gallery(name):
+    entry = GALLERY[name]()
+    report = euler_form(entry.connection, entry.metric)
+    skew, gap = orthonormal_euler_gap(report, entry.connection, entry.metric)
+    assert skew <= 1e-10
+    assert gap <= 1e-12
+    residual = compatibility_residual(entry.connection, entry.metric)
+    assert report.compat_residual == residual_sup(residual, entry.connection.chart)
+
+
+def test_compare_euler_takes_both_numbers_from_euler_form(chart, monkeypatch):
+    # the benchmark counts Euler numbers by wrapping euler_form, and needs
+    # both calls of compare_euler to go through it
+    import metriconn.volume_euler as volume_euler
+    numbers = []
+
+    def counting(*args, **kwargs):
+        report = euler_form(*args, **kwargs)
+        numbers.append(report.euler_number)
+        return report
+
+    monkeypatch.setattr(volume_euler, "euler_form", counting)
+    theta1 = skew_connection(OneForm(ZERO, sin(X) + X * 0.25), chart)
+    theta2 = skew_connection(OneForm(cos(Y), sin(X)), chart)
+    difference = volume_euler.compare_euler(theta1, theta2, MetricField.identity())
+    assert len(numbers) == 2
+    assert difference == abs(numbers[0] - numbers[1])
