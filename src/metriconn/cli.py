@@ -50,6 +50,7 @@ class _Report:
 
     def __init__(self, command: str):
         self.fields: dict[str, object] = {"command": command}
+        self.sources: set[str] = set()  # keys whose values are to_source text
         self.appendix = ()
         self.started = time.monotonic()
 
@@ -62,21 +63,39 @@ class _Report:
         for key, value in items:
             self.put(key, value)
 
-    def to_json(self) -> str:
-        return json.dumps(self.fields, sort_keys=True) + "\n"
-
-    def to_text(self) -> str:
-        lines = [f"{key}: {value}" for key, value in self.fields.items()]
-        elapsed = time.monotonic() - self.started
-        lines.append(f"wall_clock: {elapsed:.3f} s")
-        return "\n".join(lines) + "\n"
+    def put_source(self, key: str, text: str) -> None:
+        """Put expression text made by ``to_source`` or ``to_sources``,
+        whose alphabet needs no JSON escape, so ``emit`` writes it as it
+        is: re-escaping the megabytes of a recovered metric cost more than
+        the check."""
+        self.fields[key] = text
+        self.sources.add(key)
 
     def emit(self, out, as_json: bool) -> None:
+        """Write the report: with ``as_json`` the bytes of
+        ``json.dumps(fields, sort_keys=True)`` and a newline, otherwise one
+        ``key: value`` line per field in the order put, the wall clock and
+        the appendix.  Every value is encoded before the first write, so a
+        value that fails to encode writes nothing."""
+        pieces = []
         if as_json:
-            out.write(self.to_json())
-        else:
-            out.write(self.to_text())
-            out.writelines(self.appendix)
+            separator = "{"
+            for key in sorted(self.fields):
+                value = self.fields[key]
+                pieces += (separator, json.dumps(key), ": ")
+                if key in self.sources:
+                    pieces += ('"', value, '"')
+                else:
+                    pieces.append(json.dumps(value))
+                separator = ", "
+            pieces.append("}\n")
+            out.writelines(pieces)
+            return
+        for key, value in self.fields.items():
+            pieces += (key, ": ", str(value), "\n")
+        pieces.append(f"wall_clock: {time.monotonic() - self.started:.3f} s\n")
+        out.writelines(pieces)
+        out.writelines(self.appendix)
 
 
 def _apply_overrides(spec: SpecFile, args) -> SpecFile:
@@ -107,44 +126,6 @@ def _chart_fields(chart: Chart):
     yield "chart.periodic_y", chart.periodic_y
     yield "grid.nx", chart.nx
     yield "grid.ny", chart.ny
-
-
-def _verdict_fields(report: MetrizabilityReport):
-    yield "verdict", report.verdict.value
-    yield "curvature_zero_fraction", report.curvature_zero_fraction
-    yield "normalization", report.normalization
-    if report.witness is not None:
-        yield "witness.x", report.witness[0]
-        yield "witness.y", report.witness[1]
-    if report.min_det_u is not None:
-        yield "diagnostics.min_det_u", report.min_det_u
-    if report.max_abs_trace_u is not None:
-        yield "diagnostics.max_abs_trace_u", report.max_abs_trace_u
-    if report.max_parallel_residual is not None:
-        yield "diagnostics.max_parallel_residual", report.max_parallel_residual
-    if report.frame_residual is not None:
-        yield "diagnostics.frame_residual", report.frame_residual
-    if report.loop_defect is not None:
-        yield "diagnostics.loop_defect", report.loop_defect
-    for name, value in sorted(report.tolerances.items()):
-        yield f"tolerance.{name}", value
-    if report.metric is not None:
-        (g11, g12), (_, g22) = report.metric.entries
-        yield from zip(("metric.g.1.1", "metric.g.1.2", "metric.g.2.2"),
-                       to_sources([g11, g12, g22]))
-    if report.conformal_log is not None:
-        yield "metric.conformal", True
-        yield "metric.conformal_log.min", float(np.min(report.conformal_log))
-        yield "metric.conformal_log.max", float(np.max(report.conformal_log))
-        yield "metric.conformal_defect.x", report.conformal_defects[0]
-        yield "metric.conformal_defect.y", report.conformal_defects[1]
-    elif report.metric is not None:
-        yield "metric.conformal", False
-    if report.metric_samples is not None:
-        samples = report.metric_samples
-        yield "metric.samples.g11.min", float(np.min(samples[:, :, 0, 0]))
-        yield "metric.samples.g11.max", float(np.max(samples[:, :, 0, 0]))
-    yield "notes", "; ".join(report.notes)
 
 
 def _check_exit_code(report: MetrizabilityReport) -> int:
@@ -186,7 +167,43 @@ def _open_example(args):
 
 def _put_verdict(theta: ConnectionMatrix, args, report: _Report) -> MetrizabilityReport:
     result = check_metrizability(theta, tol=args.tol, basepoint=args.basepoint)
-    report.put_all(_verdict_fields(result))
+    put = report.put
+    put("verdict", result.verdict.value)
+    put("curvature_zero_fraction", result.curvature_zero_fraction)
+    put("normalization", result.normalization)
+    if result.witness is not None:
+        put("witness.x", result.witness[0])
+        put("witness.y", result.witness[1])
+    if result.min_det_u is not None:
+        put("diagnostics.min_det_u", result.min_det_u)
+    if result.max_abs_trace_u is not None:
+        put("diagnostics.max_abs_trace_u", result.max_abs_trace_u)
+    if result.max_parallel_residual is not None:
+        put("diagnostics.max_parallel_residual", result.max_parallel_residual)
+    if result.frame_residual is not None:
+        put("diagnostics.frame_residual", result.frame_residual)
+    if result.loop_defect is not None:
+        put("diagnostics.loop_defect", result.loop_defect)
+    for name, value in sorted(result.tolerances.items()):
+        put(f"tolerance.{name}", value)
+    if result.metric is not None:
+        (g11, g12), (_, g22) = result.metric.entries
+        for key, text in zip(("metric.g.1.1", "metric.g.1.2", "metric.g.2.2"),
+                             to_sources([g11, g12, g22])):
+            report.put_source(key, text)
+    if result.conformal_log is not None:
+        put("metric.conformal", True)
+        put("metric.conformal_log.min", float(np.min(result.conformal_log)))
+        put("metric.conformal_log.max", float(np.max(result.conformal_log)))
+        put("metric.conformal_defect.x", result.conformal_defects[0])
+        put("metric.conformal_defect.y", result.conformal_defects[1])
+    elif result.metric is not None:
+        put("metric.conformal", False)
+    if result.metric_samples is not None:
+        samples = result.metric_samples
+        put("metric.samples.g11.min", float(np.min(samples[:, :, 0, 0])))
+        put("metric.samples.g11.max", float(np.max(samples[:, :, 0, 0])))
+    put("notes", "; ".join(result.notes))
     return result
 
 
@@ -243,7 +260,7 @@ def _euler(spec: SpecFile, args, report: _Report) -> int:
         report.put("error.tolerance", exc.tolerance)
         return EXIT_NEGATIVE
     report.put("euler_number", result.euler_number)
-    report.put("euler_form.coefficient", to_source(result.euler_form.r))
+    report.put_source("euler_form.coefficient", to_source(result.euler_form.r))
     report.put("diagnostics.compat_residual", result.compat_residual)
     return EXIT_SUCCESS
 
@@ -285,8 +302,8 @@ def _compare(spec: SpecFile, args, report: _Report) -> int:
 def _put_connection(report: _Report, theta: ConnectionMatrix, prefix: str = "theta"):
     for i, row in enumerate(theta.entries, 1):
         for j, form in enumerate(row, 1):
-            report.put(f"{prefix}.{i}.{j}.dx", to_source(form.p))
-            report.put(f"{prefix}.{i}.{j}.dy", to_source(form.q))
+            report.put_source(f"{prefix}.{i}.{j}.dx", to_source(form.p))
+            report.put_source(f"{prefix}.{i}.{j}.dy", to_source(form.q))
 
 
 def _torsion(spec: SpecFile, args, report: _Report) -> int:
@@ -294,8 +311,8 @@ def _torsion(spec: SpecFile, args, report: _Report) -> int:
     field = torsion(theta)
     t1 = field.component(1, 1, 2)
     t2 = field.component(2, 1, 2)
-    report.put("torsion.1.12", to_source(t1))
-    report.put("torsion.2.12", to_source(t2))
+    report.put_source("torsion.1.12", to_source(t1))
+    report.put_source("torsion.2.12", to_source(t2))
     report.put("torsion.sup", sup_norm([t1, t2], theta.chart))
     return EXIT_SUCCESS
 
@@ -315,8 +332,8 @@ def _semi_symmetric(spec: SpecFile, args, report: _Report) -> int:
     theta = semi_symmetric(RiemannianMetric2D(metric, spec.chart), u)
     _put_connection(report, theta)
     field = torsion(theta)
-    report.put("torsion.1.12", to_source(field.component(1, 1, 2)))
-    report.put("torsion.2.12", to_source(field.component(2, 1, 2)))
+    report.put_source("torsion.1.12", to_source(field.component(1, 1, 2)))
+    report.put_source("torsion.2.12", to_source(field.component(2, 1, 2)))
     report.put("diagnostics.compat_residual",
                residual_sup(compatibility_residual(theta, metric), spec.chart))
     return EXIT_SUCCESS

@@ -14,7 +14,8 @@ cached per node, so repeated differentiation builds a shared DAG rather
 than an exponentially growing tree.  No derivative of an inner node refers
 to that node (the derivative of ``exp(u)`` holds a fresh ``exp(u)``), so
 the caches make no reference cycles.  :func:`parse` shares structurally
-equal subtrees of one text.
+equal subtrees of one text, or of every text it reads inside one
+:func:`parse_context`.
 
 Every node gets a value number when it is built: structurally equal nodes
 get one number, whether they are one object or several.  A number stands
@@ -48,13 +49,15 @@ import operator
 import re
 import struct
 import weakref
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ParseError", "DomainError",
-    "parse", "to_source", "to_sources",
+    "parse", "parse_context", "to_source", "to_sources",
     "eval_grid_many",
     "sin", "cos", "tan", "exp", "ln", "sqrt", "sinh", "cosh",
     "X", "Y", "ZERO", "ONE",
@@ -892,17 +895,44 @@ def _group_key(text: str, start: int, end: int):
     return (end - start, text[start:start + 16], text[end - 15:end + 1])
 
 
+# the share table and the group memo of the open parse context
+_PARSE_CONTEXT: ContextVar[tuple | None] = ContextVar("metriconn_parse_context",
+                                                      default=None)
+
+
+@contextmanager
+def parse_context():
+    """Parse every text of the block in one context.
+
+    Inside the block, :func:`parse` shares structurally equal subtrees
+    across all the texts it reads, not only within one, and it does not
+    parse again a parenthesised group whose exact text it parsed before in
+    the block, in any text.  So the nodes of one spec file are one object
+    per value number, and each is differentiated once.  The context keeps
+    every node and text it has seen until the block ends, and then nothing
+    of it is kept; a block opened inside another starts a context of its
+    own.  :func:`~metriconn.specfile.parse_spec` opens one for each file.
+    """
+    token = _PARSE_CONTEXT.set(({}, {}))
+    try:
+        yield
+    finally:
+        _PARSE_CONTEXT.reset(token)
+
+
 class _Parser:
     """One call of :func:`parse`: a lexer that reads one token at a time,
     the table that shares equal subtrees, and the memo of the groups parsed
-    so far.  Nothing outlives the call."""
+    so far.  Table and memo are those of the open :func:`parse_context`, or
+    the call's own, which nothing keeps after the call."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, context: tuple | None):
         self.text = text
         self.pos = 0            # where the lexer reads the next token
         self.closers = _closers(text)
-        self.shared: dict = {}  # value number -> the one node of that structure
-        self.groups: dict = {}  # group key -> (offset of its '(', inner node)
+        # value number -> the one node of that structure, and group key ->
+        # (the text the group is in, offset of its '(', inner node)
+        self.shared, self.groups = context if context is not None else ({}, {})
 
     def share(self, node: Expr) -> Expr:
         return self.shared.setdefault(node._num, node)
@@ -933,16 +963,16 @@ class _Parser:
 
     def open_group(self, start: int, name: str | None, ops: list):
         """At the ``(`` at ``start`` (of a call of ``name`` if given): the
-        group's node if the same text was parsed before in this call, with
-        the lexer moved past its ``)``; otherwise None, with the group
-        pushed on ``ops``."""
+        group's node if the same text was parsed before in this call or
+        context, with the lexer moved past its ``)``; otherwise None, with
+        the group pushed on ``ops``."""
         end = self.closers.get(start)
         if end is not None:
             hit = self.groups.get(_group_key(self.text, start, end))
             if hit is not None:
-                first, node = hit
+                source, first, node = hit
                 if end - start < _SHORT_GROUP or self.text.startswith(
-                        self.text[first:first + end - start + 1], start):
+                        source[first:first + end - start + 1], start):
                     self.pos = end + 1
                     return node if name is None else self.share(_call(name, node))
         ops.append(("(", start, name))
@@ -1031,7 +1061,8 @@ class _Parser:
                 _, start, name = ops.pop()
                 if kind != "op" or tok != ")":
                     self.fail(offset, "expected ')'", tok)
-                self.groups.setdefault(_group_key(self.text, start, offset), (start, node))
+                self.groups.setdefault(_group_key(self.text, start, offset),
+                                       (self.text, start, node))
                 if name is not None:
                     node = share(_call(name, node))
                 kind, tok, offset = self.token()
@@ -1060,8 +1091,9 @@ def parse(text: str) -> Expr:
     operator stack, without recursion.  Structurally equal subtrees become
     one node, and a parenthesised group (or call argument) whose exact text
     was parsed before in the same call is not parsed again: the parser
-    takes that group's node and moves past its ``)``.
+    takes that group's node and moves past its ``)``.  Inside a
+    :func:`parse_context` both hold across every text of the block.
     """
     if not isinstance(text, str):
         raise TypeError("expression source must be a string")
-    return _Parser(text).parse()
+    return _Parser(text, _PARSE_CONTEXT.get()).parse()

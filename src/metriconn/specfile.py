@@ -18,7 +18,10 @@ Format::
     [metric]                  # g.1.1, g.1.2, g.2.2 (g.1.2 defaults to 0)
     [oneform]                 # u.dx, u.dy (default 0)
 
-Expressions use the grammar of :mod:`metriconn.expr`.
+Expressions use the grammar of :mod:`metriconn.expr`.  All the
+expressions of one file are parsed in one
+:func:`~metriconn.expr.parse_context`, so a subtree that recurs anywhere in
+the file is one node.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .expr import Const, Expr, ParseError, parse
+from .expr import Const, Expr, ParseError, parse, parse_context
 from .forms import Chart, OneForm
 from .connection import ConnectionMatrix, MetricField
 
@@ -143,10 +146,11 @@ def parse_spec(text: str, source: str = "<spec>") -> SpecFile:
     if "chart" not in sections:
         raise SpecError(source, 0, "a [chart] section is required")
     chart = _build_chart(source, sections.pop("chart"))
-    connection = _build_connection(source, sections.pop("connection", None), chart)
-    connection2 = _build_connection(source, sections.pop("connection2", None), chart)
-    metric = _build_metric(source, sections.pop("metric", None))
-    oneform = _build_oneform(source, sections.pop("oneform", None))
+    with parse_context():
+        connection = _build_connection(source, sections.pop("connection", None), chart)
+        connection2 = _build_connection(source, sections.pop("connection2", None), chart)
+        metric = _build_metric(source, sections.pop("metric", None))
+        oneform = _build_oneform(source, sections.pop("oneform", None))
     return SpecFile(chart, connection, connection2, metric, oneform, digest, source)
 
 
@@ -241,6 +245,6 @@ def load_spec(path: str | Path) -> SpecFile:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SpecError(str(p), 0, f"cannot read spec file: {err}") from err
     return parse_spec(text, str(p))

@@ -11,8 +11,9 @@ try:
 except ImportError:
     given = None
 
+from metriconn import cli
 from metriconn.cli import run
-from metriconn.expr import parse, to_source
+from metriconn.expr import parse, to_source, to_sources
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -203,6 +204,58 @@ def test_missing_file():
     code, _, err = run_cli("check", "no_such_file.conn")
     assert code == 3
     assert "cannot read" in err
+
+
+def test_a_spec_file_that_is_not_utf8_names_the_file(tmp_path):
+    bad = tmp_path / "bad.conn"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli("check", str(bad))
+    assert (code, out) == (3, "")
+    assert err == (f"error: {bad}:0: cannot read spec file: 'utf-8' codec can't decode "
+                   "byte 0xff in position 0: invalid start byte\n")
+
+
+def streamed_report():
+    """A report whose plain strings need escapes, with every kind of scalar
+    value, and expression text put as source."""
+    report = cli._Report("check")
+    report.put_all([("quote", 'a "b"'), ("backslash", "c\\d"), ("bell", "\x07"),
+                    ("theta", "\u03b8"), ("nan", math.nan), ("inf", -math.inf),
+                    ("flag", True), ("none", None), ("count", 7), ("half", np.float64(0.5))])
+    texts = to_sources([parse("sin(x)^(-2)/y - 1e-300"), parse("-x^2"), parse("5e-324*y")])
+    for k, text in enumerate(texts):
+        report.put_source(f"metric.g.{k}", text)
+    report.put_source("torsion.1.12", "0.0")
+    return report
+
+
+def test_the_streamed_report_is_json_dumps_of_its_fields(monkeypatch):
+    report = streamed_report()
+    expected = json.dumps(report.fields, sort_keys=True) + "\n"
+    sources = [report.fields[key] for key in report.sources]
+    encoded = []
+    dumps = json.dumps
+
+    def spy(obj, *args, **kwargs):
+        encoded.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", spy)
+    out = io.StringIO()
+    report.emit(out, as_json=True)
+    assert out.getvalue() == expected
+    # expression text is written as it is, never passed through the encoder
+    assert encoded
+    assert not [obj for obj in encoded if isinstance(obj, str) and obj in sources]
+
+
+def test_a_value_that_cannot_be_encoded_writes_nothing():
+    report = streamed_report()
+    report.put("unencodable", object())
+    out = io.StringIO()
+    with pytest.raises(TypeError):
+        report.emit(out, as_json=True)
+    assert out.getvalue() == ""
 
 
 def test_json_reports_are_deterministic():

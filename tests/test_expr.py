@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import os
 import pickle
@@ -16,11 +17,17 @@ except ImportError:
     given = None
 
 from metriconn.expr import (
+    FUNCTIONS,
+    Add,
     Call,
     Const,
+    Div,
     DomainError,
     Mul,
+    Neg,
     ParseError,
+    Pow,
+    Sub,
     Var,
     X,
     Y,
@@ -275,6 +282,48 @@ def test_to_sources_renders_each_root_as_to_source():
     assert report.verdict.value == "Metric"
     (g11, g12), (_, g22) = report.metric.entries
     assert to_sources([g11, g12, g22]) == [to_source(g) for g in (g11, g12, g22)]
+
+
+def raw_expressions():
+    """Trees of every node class built directly, so nothing is folded:
+    the eight functions, negative and non-finite exponents, and constants
+    with and without a source form."""
+    extremes = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308]
+    leaves = st.one_of(
+        st.sampled_from([X, Y]),
+        st.sampled_from(extremes).map(Const),
+        st.floats().map(Const),
+    )
+    exponents = st.one_of(st.sampled_from([-3.0, -0.5, *extremes]), st.floats())
+
+    def extend(inner):
+        return st.one_of(
+            inner.map(Neg),
+            st.tuples(st.sampled_from([Add, Sub, Mul, Div]), inner, inner)
+            .map(lambda t: t[0](t[1], t[2])),
+            st.tuples(inner, exponents).map(lambda t: Pow(*t)),
+            st.tuples(st.sampled_from(FUNCTIONS), inner).map(lambda t: Call(t[0], t[1])),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=16)
+
+
+@pytest.mark.skipif(given is None, reason="needs Hypothesis")
+def test_source_text_is_its_own_json_string_body():
+    # the CLI writes this text into its --json report without escaping it
+    def assert_plain(text):
+        assert text.isascii()
+        assert json.dumps(text) == '"' + text + '"'
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(raw_expressions(), min_size=1, max_size=4))
+    def check(roots):
+        roots.append(Mul(roots[0], Neg(roots[-1])))   # a root sharing the others' nodes
+        for text in to_sources(roots):
+            assert_plain(text)
+        assert_plain(to_source(roots[-1]))
+
+    check()
 
 
 def smart_expressions():

@@ -20,14 +20,18 @@ except ImportError:
 from metriconn.connection import compatibility_residual
 from metriconn.expr import (
     Call,
+    Const,
     ParseError,
+    Var,
     X,
     _operands,
     eval_grid_many,
     parse,
+    parse_context,
     to_source,
 )
 from metriconn.gallery import GALLERY
+from metriconn.specfile import SpecError, load_spec
 
 from helpers import reference_parse, scrambled_instance, torus_chart
 
@@ -220,6 +224,118 @@ def test_repeated_groups_in_soups_parse_as_the_reference_does():
     @given(soups(), soups())
     def check(a, b):
         assert_same_as_reference(f"({a})*sin({a}) + ({b}) - ({a})^2 + ln(({b}))")
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# one parse context per spec file
+
+
+def spec_roots(spec) -> list:
+    """Every expression of a loaded spec file, in every section."""
+    roots = []
+    for theta in (spec.connection, spec.connection2):
+        if theta is not None:
+            roots += [e for row in theta.entries for form in row for e in (form.p, form.q)]
+    if spec.metric is not None:
+        roots += [e for row in spec.metric.entries for e in row]
+    if spec.oneform is not None:
+        roots += [spec.oneform.p, spec.oneform.q]
+    return roots
+
+
+def file_nodes(spec) -> dict:
+    """id -> node for the distinct node objects of a whole spec file."""
+    return {id(node): node for root in spec_roots(spec) for node in distinct_nodes(root)}
+
+
+def scramble_spec(path: Path, seed: int) -> Path:
+    """A spec file holding a gauge scramble written with ``to_source``, the
+    way the benchmark's spec files are written."""
+    _, _, theta = scrambled_instance(np.random.default_rng(seed), torus_chart((16, 16)))
+    lines = ["[chart]", "x = 0 .. 6.283185307179586", "y = 0 .. 6.283185307179586",
+             "periodic = true true", "grid = 16 16", "[connection]"]
+    lines += [f"theta.{i + 1}.{j + 1}.{part} = {to_source(e)}"
+              for i, row in enumerate(theta.entries) for j, form in enumerate(row)
+              for part, e in (("dx", form.p), ("dy", form.q))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("which", ["scramble_box", "scramble"])
+def test_a_spec_file_has_one_node_per_value_number(which, tmp_path):
+    path = (ROOT / "tests" / "data" / "scramble_box.conn" if which == "scramble_box"
+            else scramble_spec(tmp_path / "scramble.conn", 5))
+    spec = load_spec(path)
+    nodes = file_nodes(spec).values()
+    assert len({node._num for node in nodes}) == len(nodes)
+    # each coefficient parsed alone has the same tree, text and numbering
+    texts = [to_source(e) for e in spec_roots(spec)]
+    assert len(set(texts)) > 1
+    for root, text in zip(spec_roots(spec), texts):
+        alone = parse(text)
+        assert outcome(lambda _: alone, text) == outcome(lambda _: root, text)
+        assert alone._num is root._num
+
+
+def test_every_section_shares_one_context(tmp_path):
+    path = tmp_path / "sections.conn"
+    path.write_text("[chart]\nx = 0 .. 1\ny = 0 .. 1\n"
+                    "[connection]\ntheta.1.2.dx = sin(x*y + 1)\n"
+                    "[metric]\ng.1.1 = exp(x*y + 1)\ng.2.2 = 1 + (x*y + 1)\n"
+                    "[oneform]\nu.dy = (x*y + 1)^2\n", encoding="utf-8")
+    spec = load_spec(path)
+    g = spec.metric.entries
+    group = spec.connection.entries[0][1].p.arg
+    assert g[0][0].arg is group and g[1][1].right is group
+    assert spec.oneform.q.base is group
+
+
+def test_two_loads_of_one_file_share_no_inner_node():
+    path = ROOT / "tests" / "data" / "scramble_box.conn"
+    first, second = file_nodes(load_spec(path)), file_nodes(load_spec(path))
+    inner = [node for node in second.values() if not isinstance(node, (Const, Var))]
+    assert inner
+    assert not [node for node in inner if id(node) in first]
+
+
+def test_a_long_group_is_confirmed_against_the_text_it_came_from():
+    # same length and same 16-character ends: one memo key, another group
+    one = "(x + x + x + x + x + 1 + x + x + x + x + x)*y"
+    two = "(x + x + x + x + x + 2 + x + x + x + x + x)*y"
+    with parse_context():
+        first, second = parse(one), parse(two)
+        again = parse(two)
+    assert (to_source(first), to_source(second)) == (to_source(parse(one)), to_source(parse(two)))
+    assert again is second
+
+
+def test_a_parse_error_names_its_line_after_earlier_lines(tmp_path):
+    bad_text = "sin(x*y + 1) + (x*y + 1) + $"
+    path = tmp_path / "late.conn"
+    path.write_text("[chart]\nx = 0 .. 1\ny = 0 .. 1\n[connection]\n"
+                    "theta.1.1.dx = sin(x*y + 1)\n"
+                    "theta.1.2.dx = (x*y + 1)*2\n"
+                    f"theta.2.1.dy = {bad_text}\n", encoding="utf-8")
+    with pytest.raises(SpecError) as excinfo:
+        load_spec(path)
+    with pytest.raises(ParseError) as alone:
+        parse(bad_text)
+    assert excinfo.value.line == 7
+    assert excinfo.value.reason == (f"bad expression {bad_text!r}: {alone.value.message} "
+                                    f"at offset {alone.value.offset}")
+
+
+@pytest.mark.skipif(given is None, reason="needs Hypothesis")
+def test_soups_parsed_in_one_context_parse_as_the_reference_does():
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(soups(), min_size=1, max_size=3))
+    def check(parts):
+        texts = [f"({a})*sin({b}) - ({a})" for a in parts for b in parts]
+        with parse_context():
+            together = [outcome(parse, text) for text in texts]
+        assert together == [outcome(reference_parse, text) for text in texts]
 
     check()
 
