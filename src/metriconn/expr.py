@@ -835,6 +835,12 @@ def to_sources(roots) -> list[str]:
     without recursion, and its text serves every node of that structure;
     an operand's text is dropped once every node that uses it has been
     rendered, a root's is kept.
+
+    The text is printable ASCII drawn from the grammar's tokens, the
+    space, and the ``repr`` of floats (so ``inf``, ``nan`` and exponents
+    such as ``5e-324``): it never holds ``"``, ``\\`` or a control
+    character, so it is its own JSON string body.  The CLI's ``--json``
+    report relies on this and writes the text between quotes unescaped.
     """
     roots = list(roots)
     order = _postorder(*roots)
