@@ -6,10 +6,10 @@ command that takes a spec, and every gallery entry runs through
 ``text:``), whose ``wall_clock`` line is masked.  The golden file holds
 each case's exit code, its standard output and its standard error (with
 the repository path removed); an output longer than ``VERBATIM_LIMIT``
-characters is held as its length and SHA-256 digest.  ``tests/data/scramble_box.conn`` is a gauge scramble
-rendered with ``to_source``, whose reports carry large recovered-metric
-expressions.  Regenerate the golden file only when a report is meant to
-change::
+characters is held as its length and SHA-256 digest.
+``tests/data/scramble_box.conn`` is a gauge scramble rendered with
+``to_source``, whose reports carry large recovered-metric expressions.
+Regenerate the golden file only when a report is meant to change::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
