@@ -419,7 +419,9 @@ def run(argv=None, out=None, err=None) -> int:
         code = args.body(subject, args, report)
         report.emit(out, args.json)
         return code
-    except (ValueError, ArithmeticError, RecursionError) as exc:
+    except (ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = ": ".join(filter(None, ("out of memory", str(exc))))
         err.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
 

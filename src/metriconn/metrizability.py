@@ -369,6 +369,7 @@ def _decide(theta: ConnectionMatrix, tol: float, basepoint) -> MetrizabilityRepo
     zero_fraction = float(np.mean(zero_mask))
 
     if zero_fraction == 1.0:
+        del u, peak, zero_mask     # not held while the frame is built
         frame = _parallel_frame(theta, basepoint)
         return MetrizabilityReport(
             verdict=Verdict.FLAT,

@@ -88,8 +88,12 @@ def _parse_expr(source: str, line: int, text: str) -> Expr:
     try:
         return parse(text)
     except ParseError as err:
+        shown = repr(text)
+        if len(text) > 80:      # echo a window around the offset, cuts marked
+            lo, hi = max(0, err.offset - 30), err.offset + 30
+            shown = "..." * (lo > 0) + repr(text[lo:hi]) + "..." * (hi < len(text))
         raise SpecError(source, line,
-                        f"bad expression {text!r}: {err.message} at offset {err.offset}"
+                        f"bad expression {shown}: {err.message} at offset {err.offset}"
                         ) from err
 
 

@@ -15,8 +15,8 @@ from metriconn.expr import (
 )
 from metriconn.forms import Chart, OneForm, evaluate_grid_many, grid_derivative
 from metriconn.connection import (
-    ConnectionMatrix, FrameChange, compatibility_residual, curvature, gauge_transform,
-    residual_sup, trace_connection,
+    RK4_SUBSTEPS, ConnectionMatrix, FrameChange, _coefficient_samples,
+    compatibility_residual, curvature, gauge_transform, residual_sup, trace_connection,
 )
 
 TAU = 2.0 * np.pi
@@ -569,6 +569,54 @@ def reference_flat_frame(theta: ConnectionMatrix, basepoint=None):
 
     metric = np.linalg.inv(values @ np.swapaxes(values, 2, 3))
     return values, metric, residual, defect
+
+
+def _reference_mul(a, b):
+    # the component product of the lockstep RK4 before its buffers: the four
+    # products in one broadcast, summed over k into the first half
+    prod = a[:, :, None] * b
+    out = prod[:, 0]
+    out += prod[:, 1]
+    return out
+
+
+def reference_transport(legs) -> list:
+    """``connection._transport`` as it was before its RK4 loop wrote into
+    buffers allocated once: a fresh array for every stage and every term,
+    in the order ``b + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``.  Legs
+    and results as there."""
+    legs = list(legs)
+    widths = [len(leg[5]) for leg in legs]
+    edges = np.cumsum([0] + widths)
+    longest = max(leg[4] for leg in legs)
+    out = np.empty((longest + 1, 2, 2, edges[-1]))
+    for (*_, b0), lo, hi in zip(legs, edges, edges[1:]):
+        out[0, :, :, lo:hi] = b0
+    if longest:
+        steps = longest * RK4_SUBSTEPS
+        samples, hs = [], []
+        for (coeffs, along_x, t0, h, intervals, fixed, _), width in zip(legs, widths):
+            ts = np.linspace(t0, t0 + intervals * h, 2 * intervals * RK4_SUBSTEPS + 1)[:, None]
+            line = np.asarray(fixed, dtype=float)[None, :]
+            mats = _coefficient_samples(coeffs, *((ts, line) if along_x else (line, ts)))
+            mats = np.broadcast_to(mats, (2, 2, ts.size, width))
+            if ts.size < 2 * steps + 1:
+                mats = mats[:, :, np.minimum(np.arange(2 * steps + 1), ts.size - 1)]
+            samples.append(mats)
+            hs.append(np.full(width, -h / RK4_SUBSTEPS))
+        mats = samples[0] if len(legs) == 1 else np.concatenate(samples, axis=-1)
+        hs = np.concatenate(hs)
+        half, sixth = hs / 2.0, hs / 6.0
+        b = out[0]
+        for s in range(steps):
+            k1 = _reference_mul(mats[:, :, 2 * s], b)
+            k2 = _reference_mul(mats[:, :, 2 * s + 1], b + half * k1)
+            k3 = _reference_mul(mats[:, :, 2 * s + 1], b + half * k2)
+            k4 = _reference_mul(mats[:, :, 2 * s + 2], b + hs * k3)
+            b = b + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if (s + 1) % RK4_SUBSTEPS == 0:
+                out[(s + 1) // RK4_SUBSTEPS] = b
+    return [out[:leg[4] + 1, :, :, lo:hi] for leg, lo, hi in zip(legs, edges, edges[1:])]
 
 
 # ---------------------------------------------------------------------------

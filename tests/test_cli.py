@@ -434,6 +434,33 @@ def test_overflowing_literal_is_an_input_error(tmp_path):
                        "number 1e999 is out of range at offset 4\n")
 
 
+@pytest.mark.parametrize("tail,cut", [("", "'"), (" + x" * 100, "'...")])
+def test_parse_error_in_a_long_coefficient_echoes_a_window(tmp_path, tail, cut):
+    # it echoed the whole coefficient: a 20 439-character error line
+    coefficient = "+".join(["x"] * 10000) + " $" + tail
+    spec = _spec(tmp_path, "long.conn", f"theta.1.2.dy = {coefficient}\ntheta.2.1.dy = -x")
+    for argv in (["check", spec], ["check", spec, "--json"]):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, "")
+        [line] = err.splitlines()
+        assert len(line) < 200
+        assert line.startswith(f"error: {spec}:7: bad expression ...'x+x+")
+        assert f" ${tail[:29]}{cut}: " in line
+        assert line.endswith(f" at offset {coefficient.index('$')}")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_out_of_memory_is_an_input_error(monkeypatch, json_flag):
+    # a MemoryError escaped as a traceback with exit 1, which means "not metric"
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "check_metrizability", exhausted)
+    code, out, err = run_cli("check", str(SPECS / "skew.conn"), *json_flag)
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory: Unable to allocate 8.00 GiB for an array\n"
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_tolerance_scale_must_be_finite_and_positive(value, capsys):
     code, out, err = run_cli("check", str(SPECS / "skew.conn"), "--tol", value)

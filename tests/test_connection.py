@@ -18,7 +18,7 @@ from metriconn.connection import (
     trace_connection,
     trace_curvature,
     transport_metric_x,
-    _frame_residuals,
+    _frame_residual,
     _sweep,
 )
 from metriconn.forms import d1
@@ -212,7 +212,7 @@ def _frame_gauge_sup(theta, frame):
     binv = np.linalg.inv(frame.values)
     planes = np.moveaxis(frame.values, (2, 3), (0, 1))
     return max(float(np.max(np.abs(binv @ np.ascontiguousarray(np.moveaxis(res, (0, 1), (2, 3))))))
-               for res in _frame_residuals(theta, planes))
+               for res in (_frame_residual(theta, planes, axis) for axis in (0, 1)))
 
 
 def test_flat_reconstruction_round_trip(torus):

@@ -13,11 +13,12 @@ from metriconn.connection import (
     ConnectionMatrix,
     NotFlat,
     _coefficient_samples,
-    _frame_residuals,
+    _frame_residual,
     _mul,
     _sweep,
     _transport,
     parallel_frame_flat,
+    transport_metric_x,
 )
 from metriconn.expr import Const, X
 from metriconn.forms import _CENTRAL7, Chart, OneForm, _onesided_weights
@@ -28,6 +29,7 @@ from metriconn.specfile import load_spec
 from helpers import (
     commuting_flat_connection,
     reference_flat_frame,
+    reference_transport,
     scrambled_flat_connection,
     scrambled_instance,
     torus_chart,
@@ -126,15 +128,15 @@ def _bits(arr):
     return arr.shape, np.ascontiguousarray(arr).view(np.uint64).tobytes()
 
 
-def test_lockstep_legs_equal_single_leg_runs():
+def _five_legs():
     # legs of different lengths, directions, steps, widths and starts on a
-    # 48 x 64 chart periodic in x: each leg gets the bits it gets alone
+    # 48 x 64 chart periodic in x
     chart = Chart((0.0, 2.0 * np.pi), (-1.0, 2.0), periodic_x=True, grid=(48, 64))
     _, _, theta = scrambled_instance(np.random.default_rng(31), chart)
     p, q = theta.p_matrix(), theta.q_matrix()
     rng = np.random.default_rng(4)
     eye = np.eye(2)[:, :, None]
-    legs = [
+    return [
         (p, True, 0.0, chart.hx, chart.nx, [0.3], eye),
         (q, False, -1.0, chart.hy, chart.ny - 1, chart.xs("node")[::5],
          rng.uniform(-1.0, 1.0, (2, 2, 10))),
@@ -142,12 +144,60 @@ def test_lockstep_legs_equal_single_leg_runs():
         (q, False, 0.37, 0.5 * chart.hy, 5, [1.0], eye),
         (p, True, 1.0, chart.hx, 0, [0.5, 0.6], eye),
     ]
+
+
+def test_lockstep_legs_equal_single_leg_runs():
+    # each leg gets the bits it gets alone
+    legs = _five_legs()
     together = _transport(legs)
     assert len(together) == len(legs)
     for leg, got in zip(legs, together):
         [alone] = _transport([leg])
         assert got.shape == (leg[4] + 1, 2, 2, len(leg[5]))
         assert _bits(got) == _bits(alone)
+
+
+def _lockstep_cases():
+    legs = _five_legs()
+    yield "five legs", legs
+    for i, leg in enumerate(legs):
+        yield f"leg {i} alone", [leg]
+    # 512 lines sampling one coefficient that depends on y alone: the
+    # samples broadcast across the lines without a copy
+    chart = torus_chart((512, 512))
+    theta = commuting_flat_connection(np.random.default_rng(9), chart)
+    b0 = np.random.default_rng(10).uniform(-1.0, 1.0, (2, 2, 512))
+    yield "512 uniform lines", [(theta.q_matrix(), False, 0.0, chart.hy, 40,
+                                 chart.xs("node"), b0)]
+    eye = np.eye(2)[:, :, None]
+    yield "unequal steps", [
+        (theta.p_matrix(), True, 0.0, chart.hx, 30, [0.1, 2.0], eye),
+        (theta.q_matrix(), False, 1.0, 3.0 * chart.hy, 20, [0.4], eye),
+        (theta.p_matrix(), True, 6.0, -0.7 * chart.hx, 25, [5.0, 0.0, 1.0], b0[..., :3]),
+    ]
+
+
+LOCKSTEP_CASES = list(_lockstep_cases())
+
+
+@pytest.mark.parametrize("legs", [c[1] for c in LOCKSTEP_CASES],
+                         ids=[c[0] for c in LOCKSTEP_CASES])
+def test_transport_has_the_bits_of_the_reference_loop(legs):
+    # the RK4 loop on buffers keeps every operation and its order
+    got = _transport(legs)
+    for out, expected in zip(got, reference_transport(legs), strict=True):
+        assert _bits(out) == _bits(expected)
+
+
+def test_metric_transport_has_the_bits_of_the_reference_loop():
+    chart = torus_chart((48, 48))
+    theta = scrambled_flat_connection(chart)
+    g0 = np.array([[2.0, 0.3], [0.3, 1.0]])
+    [frames] = reference_transport([(theta.p_matrix(), True, 0.0, 2.0 * np.pi / 96, 96,
+                                     [0.0], np.eye(2)[:, :, None])])
+    binv = np.linalg.inv(frames[-1, :, :, 0])
+    expected = binv.T @ g0 @ binv
+    assert _bits(transport_metric_x(theta, g0, steps=96)) == _bits(expected)
 
 
 @pytest.mark.parametrize("basepoint", [None, (1.3, 0.4)])
@@ -170,9 +220,14 @@ def test_frame_loops_equal_single_leg_runs(basepoint):
 # the frame on component planes against the formulas it replaced
 
 
-def _matrix_product(a, b):
-    # the component product as it was written before the broadcast
-    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+def _matrix_product(a, b, out=None, prod=None):
+    # the component product as it was written before the broadcast; it
+    # writes into ``out`` when given, as ``_mul`` does in the RK4 loop
+    product = a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+    if out is None:
+        return product
+    out[...] = product
+    return out
 
 
 def _one_sided_derivative(values, h, axis):
@@ -222,8 +277,8 @@ def test_frame_on_planes_equals_the_matrix_formulas(monkeypatch, grid, basepoint
     assert _bits(frame.values) == _bits(values)
     assert _bits(frame.metric_samples()) == _bits(metric)
     planes = np.moveaxis(frame.values, (2, 3), (0, 1))
-    got = _frame_residuals(theta, planes)
-    for res, expected in zip(got, residuals):
+    for axis, expected in enumerate(residuals):
+        res = _frame_residual(theta, planes, axis)
         assert res.flags.c_contiguous
         assert _bits(np.moveaxis(res, (0, 1), (2, 3))) == _bits(expected)
     assert frame.residual_max == max(float(np.max(np.abs(r))) for r in residuals)
@@ -243,3 +298,18 @@ def test_component_product_makes_no_array_beyond_its_products():
         tracemalloc.stop()
     assert _bits(out) == _bits(_matrix_product(a, b))
     assert peak <= 2 * out.nbytes + 2**18
+
+
+def test_flat_check_holds_few_frames():
+    # a frame is 4 n^2 doubles; the check held 7.35 of them at its peak
+    # when both residuals and their product temporaries were alive at once
+    chart = torus_chart((256, 256))
+    theta = commuting_flat_connection(np.random.default_rng(3), chart)
+    tracemalloc.start()
+    try:
+        report = check_metrizability(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is Verdict.FLAT
+    assert peak <= 5.5 * (4 * 256 * 256 * 8)
