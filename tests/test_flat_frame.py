@@ -313,3 +313,13 @@ def test_flat_check_holds_few_frames():
         tracemalloc.stop()
     assert report.verdict is Verdict.FLAT
     assert peak <= 5.5 * (4 * 256 * 256 * 8)
+
+
+def test_a_frame_that_overflows_is_an_error():
+    # theta = -1000 I dx is flat; RK4 at this step size grows the frame past
+    # the largest double, and the check reports it rather than a verdict
+    c, z = OneForm(Const(-1000.0), Const(0.0)), zero_form()
+    theta = ConnectionMatrix(((c, z), (z, c)), torus_chart((32, 32)))
+    for check in (parallel_frame_flat, check_metrizability):
+        with pytest.raises(ArithmeticError, match="RK4 transport overflowed"):
+            check(theta)
